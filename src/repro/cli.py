@@ -10,9 +10,8 @@ Subcommands
 ``expansion`` measure |Gamma(S)| vs the Theorem-4 bound;
 ``metrics``   run a batch with metrics collection on and print the JSON
               snapshot of the registry;
-``profile``   cProfile the protocol hot path;
 ``perf``      the performance trajectory (:mod:`repro.obs.perf`):
-              ``record`` runs the quick bench suite and writes a
+              ``record`` times the GF(2^m) kernels and writes a
               ``BENCH_*.json`` run record, ``report`` renders the trend
               dashboard, ``check`` gates on regressions vs the rolling
               baseline (non-zero exit when a hot path got slower);
@@ -64,7 +63,6 @@ Examples::
     python -m repro access -q 2 -n 7 --count 4096 --workload strided --op count
     python -m repro access -q 2 -n 5 --count 512 --trace-out trace.jsonl
     python -m repro metrics -q 2 -n 5 --count 512
-    python -m repro profile -n 7 --count 10000 --sort tottime
     python -m repro sweep --max-n 7
     python -m repro expansion -q 2 -n 5 --sizes 16 64 256
     python -m repro perf record --repeats 3
@@ -147,17 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_batch(sp)
 
-    sp = sub.add_parser("profile", help="cProfile the protocol hot path")
-    sp.add_argument("-n", type=int, default=9, help="extension degree")
-    sp.add_argument("--count", type=int, default=100_000,
-                    help="max distinct requests")
-    sp.add_argument("--sort", choices=["cumulative", "tottime"],
-                    default="cumulative", help="pstats sort key")
-    sp.add_argument("--limit", type=int, default=15,
-                    help="stats entries to print")
-    sp.add_argument("--engine", choices=["vector", "scalar"],
-                    default="vector", help="protocol engine to profile")
-
     sp = sub.add_parser("sweep", help="Phi vs N (Theorem 6 series)")
     sp.add_argument("--max-n", type=int, default=7, help="largest n (odd, >= 3)")
     sp.add_argument("--seed", type=int, default=0)
@@ -180,16 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rolling-baseline window (runs)")
 
     vp = psub.add_parser(
-        "record", help="run the quick bench suite, write a BENCH_*.json"
+        "record", help="time the GF(2^m) kernels, write a BENCH_*.json"
     )
     vp.add_argument("--out", default=".", metavar="DIR",
                     help="directory to write the run record into")
     vp.add_argument("--repeats", type=int, default=3,
                     help="recorded repetitions per timed section")
-    vp.add_argument("--engine", choices=["vector", "scalar", "both"],
-                    default="vector",
-                    help="protocol engine for the protocol sections "
-                    "('both' also records the engine-speedup scalar)")
 
     vp = psub.add_parser(
         "report", help="render the trend dashboard (sparklines per metric)"
@@ -354,15 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--check", action="store_true",
-        help="exit non-zero on envelope violation, dead attack canary, "
-        "or attribution coverage below the floor",
+        help="exit non-zero on envelope violation or dead attack canary",
     )
     sp.add_argument("--quick", action="store_true",
                     help="single calibration seed (CI fast path)")
     sp.add_argument("--slack", type=float, default=1.25,
                     help="envelope-fit widening factor")
-    sp.add_argument("--coverage-min", type=float, default=0.95,
-                    help="attribution coverage floor")
     sp.add_argument(
         "--out", metavar="PATH",
         default=os.path.join("benchmarks", "results", "explain_report.md"),
@@ -575,30 +555,11 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    from repro.obs.profiling import profile_access
-
-    profile_access(
-        n=args.n, count=args.count, sort=args.sort, limit=args.limit,
-        engine=args.engine,
-    )
-    return 0
-
-
 def _perf_record(args) -> int:
-    from repro import obs
     from repro.obs.perf import BenchRecorder, run_quick_suite
 
     rec = BenchRecorder(source="quick-suite")
-    was_on = obs.metrics_enabled()
-    obs.enable_metrics()
-    obs.metrics().reset()
-    try:
-        run_quick_suite(rec, repeats=args.repeats, engine=args.engine)
-    finally:
-        if not was_on:
-            obs.disable_metrics()
-    rec.attach_metrics(obs.metrics())
+    run_quick_suite(rec, repeats=args.repeats)
     path = rec.write(args.out)
     print(f"run record -> {path}")
     return 0
@@ -989,20 +950,14 @@ def _cmd_lint(args) -> int:
 def _cmd_explain(args) -> int:
     from repro.obs.explain import run_explain, write_report
 
-    res = run_explain(
-        quick=args.quick,
-        slack=args.slack,
-        coverage_min=args.coverage_min,
-    )
+    res = run_explain(quick=args.quick, slack=args.slack)
     if args.out != "-":
         path = write_report(res, args.out)
         print(f"report -> {path}", file=sys.stderr)
     nviol = len(res.check_violations)
     print(
         f"explain: {nviol} check violation(s), attack "
-        f"{'flagged' if res.attack_flagged else 'MISSED'}, "
-        f"attribution coverage {res.coverage * 100:.1f}% "
-        f"(floor {res.coverage_min * 100:.0f}%)"
+        f"{'flagged' if res.attack_flagged else 'MISSED'}"
     )
     for v in res.check_violations:
         print(f"  {v}", file=sys.stderr)
@@ -1186,7 +1141,6 @@ _COMMANDS = {
     "locate": _cmd_locate,
     "access": _cmd_access,
     "metrics": _cmd_metrics,
-    "profile": _cmd_profile,
     "perf": _cmd_perf,
     "faults": _cmd_faults,
     "conform": _cmd_conform,

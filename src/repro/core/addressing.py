@@ -428,9 +428,7 @@ class AddressLayer:
             if led is not None:
                 led.count("addr.on_the_fly", int(np.asarray(indices).size))
             with _obs.span(
-                "address.vunrank",
-                timer="address.vunrank_seconds",
-                count=int(np.asarray(indices).size),
+                "address.vunrank", count=int(np.asarray(indices).size)
             ):
                 return self._vunrank(indices)
         return self._vunrank(indices)

@@ -30,17 +30,11 @@ intended for differential testing and debugging only.
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.protocol import PhaseTrace
 from repro.mpc.machine import MPC
 from repro.mpc.memory import SharedCopyStore
-
-if TYPE_CHECKING:  # ledger only ever arrives from the obs switchboard
-    from repro.obs.ledger import Ledger
 
 __all__ = ["ENGINES", "DEFAULT_ENGINE", "ENGINE_ENV", "resolve_engine", "run_phase_scalar"]
 
@@ -94,7 +88,6 @@ def run_phase_scalar(
     allow_partial: bool = False,
     out_lost: np.ndarray | None = None,
     out_sat: np.ndarray | None = None,
-    led: Ledger | None = None,
 ) -> PhaseTrace:
     """One protocol phase, one access per processor per iteration.
 
@@ -102,8 +95,7 @@ def run_phase_scalar(
     :func:`repro.core.protocol._run_phase`; every quantity it writes
     (``out_values``, ``out_lost``, ``out_sat``, the store cells, the
     MPC stats, the returned :class:`~repro.core.protocol.PhaseTrace`)
-    is defined to be identical.  ``led`` attribution mirrors the vector
-    path's arbitration/memory leaves.
+    is defined to be identical.
     """
     P = int(phase_vars.shape[0])
     copies = int(module_ids.shape[1])
@@ -170,7 +162,6 @@ def run_phase_scalar(
                 if not row[c]:
                     active.append((i, c))
         req_mods = [mods[i][c] for (i, c) in active]
-        t0 = _perf_counter() if led is not None else None
         if grey_list is None:
             winners = mpc.step_scalar(req_mods)
         else:
@@ -179,22 +170,14 @@ def run_phase_scalar(
             # always answer)
             blocked = [((iterations + 1) % g) != 0 for g in grey_list]
             winners = mpc.step_scalar(req_mods, blocked=blocked)
-        if led is not None:
-            led.add_seconds("arbitration", _perf_counter() - t0)
         for w in winners:
             i, c = active[w]
             accessed[i][c] = True
             hit[i] += 1
             if op == "write":
-                t0 = _perf_counter() if led is not None else None
                 store.write(mods[i][c], slts[i][c], vals_py[i], time)
-                if led is not None:
-                    led.add_seconds("memory", _perf_counter() - t0)
             elif op == "read":
-                t0 = _perf_counter() if led is not None else None
                 val, stamp = store.read(mods[i][c], slts[i][c])
-                if led is not None:
-                    led.add_seconds("memory", _perf_counter() - t0)
                 stamp = int(stamp)
                 if stamp >= 0:
                     cand = (stamp, int(val))

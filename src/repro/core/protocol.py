@@ -33,7 +33,6 @@ the live-history trajectory ``R_k``; when off, the run pays one guard.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,9 +295,6 @@ def run_access_protocol(
     phases: list[PhaseTrace] = []
     obs_on = _obs.enabled()
     led = _obs.ledger() if obs_on else None
-    arb0 = led.seconds["arbitration"] if led is not None else 0.0
-    mem0 = led.seconds["memory"] if led is not None else 0.0
-    t_start = _time.perf_counter() if obs_on else 0.0
     with _obs.span(
         "protocol.access", op=op, requests=V, q=q, phases=phase_count,
         engine=eng,
@@ -329,7 +325,6 @@ def run_access_protocol(
                     allow_partial,
                     out_lost,
                     out_sat,
-                    led,
                 )
                 ph_span.add(
                     iterations=trace.iterations,
@@ -363,14 +358,9 @@ def run_access_protocol(
         hist = m.histogram("protocol.phase_iterations")
         for p in phases:
             hist.observe(p.iterations)
-        m.timer("protocol.access_seconds", op=op).observe(
-            _time.perf_counter() - t_start
-        )
         if unsatisfiable is not None:
             m.counter("protocol.lost_variables").inc(int(unsatisfiable.size))
     if led is not None:
-        # Ledger close-out last so the batch wall covers the emission /
-        # metrics bookkeeping above (it lands in the bookkeeping leaf).
         rec = led.record_batch(
             op=op,
             requests=V,
@@ -380,9 +370,6 @@ def run_access_protocol(
             rounds=sum(p.iterations for p in phases),
             phi=max((p.iterations for p in phases), default=0),
             stats=mpc.stats,
-            seconds=_time.perf_counter() - t_start,
-            arbitration_seconds=led.seconds["arbitration"] - arb0,
-            memory_seconds=led.seconds["memory"] - mem0,
         )
         _obs.publish("ledger.batch", **rec.event_fields())
 
@@ -569,15 +556,10 @@ def _run_phase(
     allow_partial: bool = False,
     out_lost: np.ndarray | None = None,
     out_sat: np.ndarray | None = None,
-    led=None,
 ) -> PhaseTrace:
     """One phase: iterate until every variable of the phase is satisfied
     (or unsatisfiable because its live copies cannot reach the quorum,
     or the bounded retry budget runs out).
-
-    ``led`` is the installed :class:`~repro.obs.ledger.Ledger` (or
-    None): when present, each iteration's arbitration (``mpc.step``)
-    and memory (store read/write) time is attributed to its leaf.
     """
     P = phase_vars.shape[0]
     copies = module_ids.shape[1]
@@ -630,7 +612,6 @@ def _run_phase(
             break
         active = (~accessed.reshape(-1)) & (~satisfied[task_var])
         idx_active = np.nonzero(active)[0]
-        t0 = _time.perf_counter() if led is not None else 0.0
         if grey is None:
             winners_local = mpc.step(task_mod[idx_active])
         else:
@@ -640,26 +621,18 @@ def _run_phase(
             winners_local = mpc.step(
                 task_mod[idx_active], blocked=((iterations + 1) % grey) != 0
             )
-        if led is not None:
-            led.add_seconds("arbitration", _time.perf_counter() - t0)
         win = idx_active[winners_local]
         # mark copies accessed
         accessed[task_var[win], task_copy[win]] = True
         np.add.at(hit_count, task_var[win], 1)
         if op == "write":
-            t0 = _time.perf_counter() if led is not None else 0.0
             store.write(
                 task_mod[win], task_slot[win], values[phase_vars[task_var[win]]], time
             )
-            if led is not None:
-                led.add_seconds("memory", _time.perf_counter() - t0)
         elif op == "read":
-            t0 = _time.perf_counter() if led is not None else 0.0
             vals, stamps = store.read(task_mod[win], task_slot[win])
             packed = np.where(stamps < 0, np.int64(-1), (stamps << 32) | vals)
             np.maximum.at(best_packed, task_var[win], packed)
-            if led is not None:
-                led.add_seconds("memory", _time.perf_counter() - t0)
         satisfied = lost | (hit_count >= majority)
         iterations += 1
         if sat_local is not None:

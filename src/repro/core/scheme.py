@@ -19,8 +19,6 @@ is only feasible at validation scale and is flagged accordingly.
 
 from __future__ import annotations
 
-from time import perf_counter as _perf_counter
-
 import numpy as np
 
 import repro.obs as _obs
@@ -134,9 +132,7 @@ class PPScheme:
     """
 
     def __init__(self, q: int = 2, n: int = 5, arbitration: str = "lowest", seed: int = 0):
-        with _obs.span(
-            "scheme.build", timer="scheme.build_seconds", q=q, n=n
-        ) as sp:
+        with _obs.span("scheme.build", q=q, n=n) as sp:
             self.graph = MemoryGraph(q, n)
             self.q = q
             self.n = n
@@ -211,12 +207,7 @@ class PPScheme:
         """Span + metrics wrapper for the address-computation paths."""
         if _obs.metrics_enabled():
             _obs.metrics().counter("address.placement_calls").inc()
-        return _obs.span(
-            "address.placement",
-            timer="address.placement_seconds",
-            count=int(count),
-            slots=slots,
-        )
+        return _obs.span("address.placement", count=int(count), slots=slots)
 
     def _vslots(
         self,
@@ -268,7 +259,6 @@ class PPScheme:
             raise ValueError("requests must address distinct variables")
         led = _obs.ledger() if _obs.enabled() else None
         if led is not None:
-            t0 = _perf_counter()
             gf0 = led.gf.as_dict()
         if op == "count":
             modules = self.module_ids_for(indices)
@@ -276,7 +266,7 @@ class PPScheme:
         else:
             modules, slots = self.placement_for(indices)
         if led is not None:
-            led.note_addressing(int(indices.size), _perf_counter() - t0, gf0)
+            led.note_addressing(int(indices.size), gf0)
         return run_access_protocol(
             modules,
             self.N,

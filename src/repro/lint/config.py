@@ -114,13 +114,11 @@ PARITY_ROOTS: tuple[str, ...] = (
     "repro/core/protocol.py::_run_phase",
 )
 
-#: Shared-surface modules F4 does not flag: the two executor files
-#: themselves (their float use is perf timing, policed by the
-#: differential harness op-for-op), and instrumentation sinks whose
-#: float math never feeds simulation state.
+#: Shared-surface modules F4 does not flag: instrumentation sinks whose
+#: float math never feeds simulation state.  The executor files are
+#: audited like any other shared callee (``engine.py`` is also under
+#: D3 through :data:`ENGINE_ARITHMETIC_ZONES`).
 PARITY_EXEMPT_ZONES: tuple[str, ...] = (
-    "repro/core/engine.py",
-    "repro/core/protocol.py",
     "repro/mpc/stats.py",
     "repro/obs",
 )

@@ -448,9 +448,9 @@ class EngineParityRule(FlowRule):
     function *both* engines reach stays exact-integer and
     order-insensitive.  Float arithmetic on that shared surface can
     round differently between a python scalar and a numpy array path;
-    set iteration can reorder between runs.  The executor files
-    themselves and instrumentation sinks (stats sketches, the obs
-    layer) are exempt -- their float math never feeds simulation state.
+    set iteration can reorder between runs.  Instrumentation sinks
+    (stats sketches, the obs layer) are exempt -- their float math never
+    feeds simulation state.
     """
 
     id = "F4"

@@ -479,14 +479,14 @@ class FloatArithmeticRule(Rule):
 
 
 _EMITTING_ATTRS = frozenset(
-    {"event", "counter", "gauge", "histogram", "timer", "publish"}
+    {"event", "counter", "gauge", "histogram", "publish"}
 )
 
 #: emission methods of the bound-accounting ledger (repro.obs.ledger);
 #: only flagged on names bound from ``obs.ledger()``, so ordinary
 #: ``.count(...)`` calls on lists/strings never match
 _LEDGER_EMITTING_ATTRS = frozenset(
-    {"count", "add_seconds", "note_addressing", "record_batch"}
+    {"count", "note_addressing", "record_batch"}
 )
 
 
@@ -498,8 +498,8 @@ class UnguardedObservabilityRule(Rule):
     else -- the <5% overhead budget of ``tests/obs/test_overhead.py``
     depends on it.  ``obs.span(...)`` guards itself and is exempt.
 
-    Ledger emissions (``led.count`` / ``add_seconds`` /
-    ``note_addressing`` / ``record_batch`` on a name bound from
+    Ledger emissions (``led.count`` / ``note_addressing`` /
+    ``record_batch`` on a name bound from
     ``obs.ledger()``) follow the same contract; the idiomatic
     ``led = obs.ledger() if obs.enabled() else None`` + ``if led is not
     None:`` pattern counts as guarded, since a non-None ledger implies

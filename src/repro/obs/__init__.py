@@ -1,4 +1,4 @@
-"""Unified observability: metrics, tracing, and profiling for the stack.
+"""Unified observability: metrics, tracing, and cost accounting for the stack.
 
 Everything the paper's bounds are about is a counted quantity --
 iterations, congestion, served copies, address-computation cost.  This
@@ -22,7 +22,7 @@ in practice well under 1%.
 - :func:`set_ledger` -- install a
   :class:`~repro.obs.ledger.Ledger` (or ``None`` to remove it) for
   bound-quantity accounting: protocol rounds, congestion
-  distributions, field-op counts, and the phase-attribution tree.
+  distributions, and field-op counts.
   Installing also routes the :mod:`repro.gf.opcount` sink into
   :mod:`repro.gf.gf2m`; :func:`ledger` returns the installed one.
 - :func:`publish` -- forward one named event to the tracer (if
@@ -38,13 +38,9 @@ in practice well under 1%.
 | name | kind | meaning |
 |---|---|---|
 | ``scheme.builds`` | counter | :class:`~repro.core.scheme.PPScheme` constructions |
-| ``scheme.build_seconds`` | timer | wall time of scheme construction |
 | ``address.placement_calls`` | counter | vectorized address computations (unrank + Lemma 1/4) |
-| ``address.placement_seconds`` | timer | wall time of those computations |
-| ``address.vunrank_seconds`` | timer | wall time inside the vectorized Section-4 unranking |
 | ``address.unranks`` | counter | scalar O(log N) unrank calls |
 | ``protocol.accesses{op=...}`` | counter | protocol batches run, labeled by op |
-| ``protocol.access_seconds{op=...}`` | timer | wall time per batch, labeled by op |
 | ``protocol.iterations`` | counter | total protocol iterations across batches |
 | ``protocol.phase_iterations`` | histogram | per-phase iteration distribution |
 | ``mpc.steps`` / ``mpc.requests`` / ``mpc.served`` | counter | machine step/request/serve totals |
@@ -66,9 +62,11 @@ in practice well under 1%.
 | ``watch.events_dropped`` | gauge | bus events dropped at the watchdog's bounded queue |
 | ``watch.violations`` | counter | consistency violations flagged online |
 
-Histogram and timer snapshots also carry ``p50``/``p95``/``p99``
-(nearest-rank over a bounded deterministic sketch; ``*_seconds`` for
-timers).
+Every metric is a count; performance seconds come from the repo
+benchmark (``bench/run.py``), which times each layer from outside the
+program.
+Histogram snapshots also carry ``p50``/``p95``/``p99`` (nearest-rank
+over a bounded deterministic sketch).
 
 ### Trace event schema
 
@@ -117,9 +115,8 @@ emitted per-phase iteration counts equal ``AccessResult`` exactly
 
 ``python -m repro access --trace-out FILE`` records a JSONL trace;
 ``python -m repro metrics`` prints a JSON snapshot after a batch;
-``python -m repro profile`` runs the cProfile harness
-(:mod:`repro.obs.profiling`); ``tools/trace_report.py`` renders a trace
-as the per-phase table of EXPERIMENTS.md E06; ``python -m repro
+``tools/trace_report.py`` renders a trace as the per-phase table of
+EXPERIMENTS.md E06; ``python -m repro
 explain`` (:mod:`repro.obs.explain`) runs the six-scheme E6-style suite
 under a :class:`~repro.obs.ledger.Ledger`, checks every measured count
 against the fitted theorem envelopes of
@@ -127,16 +124,19 @@ against the fitted theorem envelopes of
 theory-vs-measured and congestion tables into
 ``benchmarks/results/explain_report.md``.
 
-Cross-run performance lives one layer up: :mod:`repro.obs.perf` folds
-each benchmark session's timings (and a metrics snapshot) into a
-``BENCH_*.json`` run record and gates regressions via ``python -m repro
-perf record|report|check``.
+Performance is timed in one place, the repo benchmark
+(``bench/run.py``): end to end per workload and per layer, with a
+coverage gate.  Profile a workload with ``PYTHONPATH=src python -m
+cProfile -s tottime bench/workloads.py --workload W --seconds 2``.
+:mod:`repro.obs.perf` keeps the cross-run ``BENCH_*.json`` record
+format that ``bench/run.py --bench-out`` writes, and gates regressions
+via ``python -m repro perf record|report|check``.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import (
@@ -144,7 +144,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 from repro.obs.stream import EventBus, Subscription
 from repro.obs.trace import (
@@ -159,7 +158,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "NullTracer",
     "RecordingTracer",
@@ -319,17 +317,14 @@ def collect(trace: bool = True):
 
 
 @contextmanager
-def span(name: str, timer: str | None = None, **fields):
-    """Instrumentation-site helper: a trace span plus an optional metric
-    timer, collapsing to a bare yield when observability is off."""
+def span(name: str, **fields: object) -> Iterator[Any]:
+    """Instrumentation-site helper: a trace span, collapsing to a bare
+    yield when observability is off."""
     if not _active:
         yield NULL_SPAN
         return
-    t0 = time.perf_counter() if (_metrics_on and timer) else None
     with _tracer.span(name, **fields) as sp:
         yield sp
-    if t0 is not None:
-        _REGISTRY.timer(timer).observe(time.perf_counter() - t0)
 
 
 def on_mpc_step(requests: int, served: int, congestion: int) -> None:

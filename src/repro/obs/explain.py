@@ -18,20 +18,17 @@ scheme (the six of :data:`repro.conformance.streaming.SCHEME_KEYS`) it
    module-neighbourhood attack on the paper's scheme stays *within*
    envelope -- the Theorem 4/5 expansion disperses it, which is the
    paper's point -- so the baseline is the honest canary target;
-4. aggregates the wall-clock **attribution tree** across every
-   measured run (leaves must cover >= ``coverage_min`` of the measured
-   total) and renders everything to
-   ``benchmarks/results/explain_report.md``.
+4. renders everything to ``benchmarks/results/explain_report.md``.
 
 Every measured run executes with a bus installed, so the protocol's
 ``ledger.batch`` events stream to the same :class:`HealthAggregator`
 the live watchdog uses; the report records how many arrived.
 
-The counts (rounds, ``Phi``, retries, field ops, congestion quantiles)
-are deterministic for a given seed; only the seconds columns vary
-between machines.  ``python -m repro explain --check`` exits non-zero
-when a check run violates an envelope, the attack is *not* flagged, or
-attribution coverage falls below the floor.
+The report holds counts only (rounds, ``Phi``, retries, field ops,
+congestion quantiles), so it is byte-identical for a given seed; wall
+time is measured by the repo benchmark (``bench/run.py``).  ``python -m
+repro explain --check`` exits non-zero when a check run violates an
+envelope or the attack is *not* flagged.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from repro.core.bounds import (
     Envelope,
     RunContext,
 )
-from repro.obs.ledger import PHASE_KEYS, Ledger
+from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import EventBus, HealthAggregator
 
@@ -100,8 +97,6 @@ class RunMeasurement:
     congestion: dict[str, float]
     counters: dict[str, int]
     gf_ops: dict[str, int]
-    seconds: dict[str, float]
-    total_seconds: float
     batch_events: int
 
 
@@ -134,8 +129,6 @@ class ExplainResult:
     schemes: list[SchemeReport]
     attack: CheckRow
     attack_flagged: bool
-    attribution: dict[str, object]
-    coverage_min: float
     slack: float
     bus_events: int
     watch_congestion_p95: float | None
@@ -146,18 +139,9 @@ class ExplainResult:
         return [v for s in self.schemes for row in s.checks for v in row.violations]
 
     @property
-    def coverage(self) -> float:
-        """Fraction of the measured wall time the phase tree explains."""
-        return float(self.attribution["coverage"])  # type: ignore[arg-type]
-
-    @property
     def ok(self) -> bool:
-        """Acceptance: checks clean, canary alive, attribution covered."""
-        return (
-            not self.check_violations
-            and self.attack_flagged
-            and self.coverage >= self.coverage_min
-        )
+        """Acceptance: checks clean and canary alive."""
+        return not self.check_violations and self.attack_flagged
 
 
 def _measure_run(
@@ -174,9 +158,8 @@ def _measure_run(
     led = Ledger()
     prev = _obs.set_ledger(led)
     try:
-        with led.run():
-            scheme.write(indices, values, store, time=1, seed=seed)
-            scheme.read(indices, store, time=2, seed=seed + 1)
+        scheme.write(indices, values, store, time=1, seed=seed)
+        scheme.read(indices, store, time=2, seed=seed + 1)
     finally:
         _obs.set_ledger(prev)
     rounds = sum(rec.rounds for rec in led.batches)
@@ -210,8 +193,6 @@ def _measure_run(
         },
         counters=dict(led.counters),
         gf_ops=led.gf.as_dict(),
-        seconds=dict(led.seconds),
-        total_seconds=led.total_seconds,
         batch_events=events,
     )
 
@@ -235,10 +216,9 @@ def run_explain(
     *,
     quick: bool = False,
     slack: float = 1.25,
-    coverage_min: float = 0.95,
     scheme_keys: tuple[str, ...] | None = None,
 ) -> ExplainResult:
-    """Calibrate, check, attack, and attribute across the scheme suite.
+    """Calibrate, check, and attack across the scheme suite.
 
     ``quick`` drops to a single calibration seed (CI's fast path);
     counts stay deterministic either way.  See the module docstring for
@@ -255,8 +235,6 @@ def run_explain(
     watch = HealthAggregator(MetricsRegistry())
     prev_bus = _obs.set_bus(bus)
 
-    agg_seconds = {k: 0.0 for k in PHASE_KEYS}
-    agg_total = 0.0
     bus_events = 0
     reports: list[SchemeReport] = []
     try:
@@ -271,15 +249,6 @@ def run_explain(
             cal_sizes = _sweep_sizes(scheme.M, _CAL_FRACS)
             check_sizes = _sweep_sizes(scheme.M, _CHECK_FRACS)
 
-            # warmup: numpy / lazy-layer first-call costs must not land
-            # inside the attribution window (cold first runs lose ~50%
-            # of their wall-clock to one-time setup)
-            warm = scheme.random_request_set(max(cal_sizes), seed=7)
-            store = scheme.make_store()
-            vals = np.arange(1, warm.size + 1, dtype=np.int64)
-            scheme.write(warm, vals, store, time=1, seed=7)
-            scheme.read(warm, store, time=2, seed=8)
-
             calibration: dict[str, list[tuple[RunContext, float]]] = {
                 q: [] for q in ENVELOPE_QUANTITIES
             }
@@ -290,9 +259,6 @@ def run_explain(
                     rep.calibration.append(meas)
                     for q in ENVELOPE_QUANTITIES:
                         calibration[q].append((meas.ctx, meas.quantities[q]))
-                    for k in PHASE_KEYS:
-                        agg_seconds[k] += meas.seconds[k]
-                    agg_total += meas.total_seconds
                     bus_events += meas.batch_events
             for q in ENVELOPE_QUANTITIES:
                 rep.envelopes.append(
@@ -303,9 +269,6 @@ def run_explain(
                 idx = scheme.random_request_set(size, seed=_CHECK_SEED)
                 meas = _measure_run(scheme, key, idx, _CHECK_SEED, sub)
                 rep.checks.append(_check_row(registry, meas))
-                for k in PHASE_KEYS:
-                    agg_seconds[k] += meas.seconds[k]
-                agg_total += meas.total_seconds
                 bus_events += meas.batch_events
             reports.append(rep)
 
@@ -320,24 +283,12 @@ def run_explain(
         )
         attack = _check_row(registry, attack_meas)
         bus_events += attack_meas.batch_events
-        for k in PHASE_KEYS:
-            agg_seconds[k] += attack_meas.seconds[k]
-        agg_total += attack_meas.total_seconds
     finally:
         _obs.set_bus(prev_bus)
 
     attack_flagged = any(
         v.quantity == "congestion_p95" for v in attack.violations
     )
-
-    attributed = sum(agg_seconds.values())
-    attribution = {
-        "total_seconds": agg_total,
-        "leaves": dict(agg_seconds),
-        "attributed_seconds": attributed,
-        "residual_seconds": max(0.0, agg_total - attributed),
-        "coverage": (attributed / agg_total) if agg_total > 0 else 1.0,
-    }
 
     # feed the drained events' aggregate through the watchdog consumer
     # path once, so the live-telemetry wiring is exercised end to end
@@ -360,8 +311,6 @@ def run_explain(
         schemes=reports,
         attack=attack,
         attack_flagged=attack_flagged,
-        attribution=attribution,
-        coverage_min=coverage_min,
         slack=slack,
         bus_events=bus_events,
         watch_congestion_p95=snap.get("p95"),
@@ -388,7 +337,7 @@ def render_markdown(result: ExplainResult) -> str:
         "Envelopes `measured <= c * shape(N, N')` with theorem-fixed "
         f"shapes and constants fitted on a calibration sweep "
         f"(slack {result.slack:g}); check runs use a disjoint seed. "
-        "Counts are deterministic; seconds are machine-local."
+        "Counts are deterministic."
     )
     w("")
 
@@ -455,24 +404,6 @@ def render_markdown(result: ExplainResult) -> str:
             w(f"- {line}")
     w("")
 
-    w("## Attribution tree (all measured runs pooled)")
-    w("")
-    att = result.attribution
-    total = float(att["total_seconds"])  # type: ignore[arg-type]
-    leaves: dict[str, float] = att["leaves"]  # type: ignore[assignment]
-    w(f"- measured total: {total * 1e3:.1f} ms")
-    for k in PHASE_KEYS:
-        sec = leaves[k]
-        pct = (sec / total * 100.0) if total > 0 else 0.0
-        w(f"  - {k}: {sec * 1e3:.1f} ms ({pct:.1f}%)")
-    cov = result.coverage
-    w(
-        f"- residual: {float(att['residual_seconds']) * 1e3:.1f} ms "  # type: ignore[arg-type]
-        f"-> coverage {cov * 100:.1f}% "
-        f"(floor {result.coverage_min * 100:.0f}%)"
-    )
-    w("")
-
     w("## Live telemetry")
     w("")
     w(
@@ -491,8 +422,7 @@ def render_markdown(result: ExplainResult) -> str:
     w("")
     w(
         f"**{status}** -- {nviol} check violation(s), attack "
-        f"{'flagged' if result.attack_flagged else 'MISSED'}, "
-        f"coverage {cov * 100:.1f}%."
+        f"{'flagged' if result.attack_flagged else 'MISSED'}."
     )
     w("")
     return "\n".join(out)

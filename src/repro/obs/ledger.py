@@ -1,11 +1,10 @@
-"""Bound-accounting ledger: theory-vs-measured cost attribution.
+"""Bound-accounting ledger: theory-vs-measured cost counts.
 
 The paper's claims are *counted* quantities -- ``O((N')^{1/3} log* N' +
 log N)`` protocol rounds (Theorem 1), ``O(log N)`` field operations per
 on-the-fly address (Theorem 8), at most one access per module per round
--- but wall-clock measurements alone cannot say whether a run stayed
-inside those envelopes, nor where its seconds went.  The
-:class:`Ledger` closes that gap: while installed (via
+-- and wall-clock measurements cannot say whether a run stayed inside
+those envelopes.  The :class:`Ledger` counts them: while installed (via
 :func:`repro.obs.set_ledger`) it
 
 * tallies the bound quantities -- protocol rounds per batch, ``Phi``
@@ -14,11 +13,11 @@ inside those envelopes, nor where its seconds went.  The
   class (through the :mod:`repro.gf.opcount` sink it installs);
 * pools the per-round module-congestion *distribution* (the
   :class:`~repro.obs.metrics._QuantileSketch` kept by
-  :class:`~repro.mpc.stats.MPCStats`), not just the scalar max;
-* attributes wall-clock to a small phase tree -- ``addressing`` /
-  ``arbitration`` / ``memory`` / ``bookkeeping`` -- whose leaves must
-  sum to the :meth:`run`-measured total within tolerance
-  (:meth:`attribution` reports the residual).
+  :class:`~repro.mpc.stats.MPCStats`), not just the scalar max.
+
+Every tally is an exact integer, identical across runs of the same
+workload.  The ledger reads no clock: seconds, per layer and end to
+end, come from the repo benchmark (``bench/run.py``).
 
 Instrumentation sites follow the switchboard contract: they check
 ``obs.enabled()`` (or equivalently that :func:`repro.obs.ledger`
@@ -36,23 +35,13 @@ The checking side lives in :mod:`repro.core.bounds`
 
 from __future__ import annotations
 
-import time as _time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import asdict, dataclass
 
 from repro.gf.gf2m import set_op_sink
 from repro.gf.opcount import GFOpSink
 from repro.obs.metrics import _QuantileSketch
 
-__all__ = ["PHASE_KEYS", "BatchRecord", "Ledger"]
-
-#: The attribution tree's leaves.  ``addressing`` is the address
-#: computation before the protocol engine; ``arbitration`` the
-#: ``MPC.step`` winner selection; ``memory`` the store read/write
-#: kernels; ``bookkeeping`` everything else inside a protocol batch
-#: (mask updates, history, quorum checks, event emission).
-PHASE_KEYS = ("addressing", "arbitration", "memory", "bookkeeping")
+__all__ = ["BatchRecord", "Ledger"]
 
 
 @dataclass(frozen=True)
@@ -74,37 +63,20 @@ class BatchRecord:
     rounds: int
     phi: int
     retries: int
-    seconds: float
-    arbitration_seconds: float
-    memory_seconds: float
-    bookkeeping_seconds: float
     congestion_p50: float
     congestion_p95: float
     congestion_max: int
 
     def event_fields(self) -> dict[str, object]:
-        """The ``ledger.batch`` bus event payload (numbers only)."""
-        return {
-            "op": self.op,
-            "requests": self.requests,
-            "copies": self.copies,
-            "majority": self.majority,
-            "modules": self.modules,
-            "rounds": self.rounds,
-            "phi": self.phi,
-            "retries": self.retries,
-            "congestion_p50": self.congestion_p50,
-            "congestion_p95": self.congestion_p95,
-            "congestion_max": self.congestion_max,
-        }
+        """The ``ledger.batch`` bus event payload: every field, in order."""
+        return asdict(self)
 
 
 class Ledger:
-    """Deterministic accounting of bound quantities and wall-clock.
+    """Deterministic accounting of bound quantities.
 
     All counts are exact integers (identical across runs of the same
-    workload); only the ``seconds`` attribution is measured.  Install
-    with :func:`repro.obs.set_ledger` -- that wires the GF op sink into
+    workload).  Install with :func:`repro.obs.set_ledger` -- that wires the GF op sink into
     :mod:`repro.gf.gf2m` and flips the global ``enabled()`` guard.
     """
 
@@ -113,9 +85,7 @@ class Ledger:
         self.addressing_ops = GFOpSink()  # slice spent computing addresses
         self.congestion = _QuantileSketch()  # pooled per-step congestion
         self.counters: dict[str, int] = {}
-        self.seconds: dict[str, float] = {k: 0.0 for k in PHASE_KEYS}
         self.batches: list[BatchRecord] = []
-        self.total_seconds = 0.0
         self._prev_sink: GFOpSink | None = None
 
     # -- switchboard lifecycle (called by repro.obs.set_ledger) --------
@@ -135,13 +105,7 @@ class Ledger:
         """Add ``delta`` to the named integer tally."""
         self.counters[name] = self.counters.get(name, 0) + int(delta)
 
-    def add_seconds(self, phase: str, dt: float) -> None:
-        """Attribute ``dt`` wall-clock seconds to one tree leaf."""
-        self.seconds[phase] += dt
-
-    def note_addressing(
-        self, count: int, dt: float, gf_before: dict[str, int]
-    ) -> None:
+    def note_addressing(self, count: int, gf_before: dict[str, int]) -> None:
         """Fold one address-computation block into the ledger.
 
         ``gf_before`` is ``self.gf.as_dict()`` snapshotted before the
@@ -151,7 +115,6 @@ class Ledger:
         (``addr.on_the_fly`` / ``addr.table``).
         """
         self.count("addr.computed", count)
-        self.seconds["addressing"] += dt
         cur = self.gf.as_dict()
         self.addressing_ops.add += cur["add"] - gf_before["add"]
         self.addressing_ops.mul += cur["mul"] - gf_before["mul"]
@@ -169,21 +132,13 @@ class Ledger:
         rounds: int,
         phi: int,
         stats: object,
-        seconds: float,
-        arbitration_seconds: float,
-        memory_seconds: float,
     ) -> BatchRecord:
         """Close out one protocol batch; returns its :class:`BatchRecord`.
 
-        ``bookkeeping`` is derived (batch wall minus the measured
-        arbitration and memory leaves), so the batch's three leaves sum
-        to its wall time exactly.  ``stats`` is the batch's
-        :class:`~repro.mpc.stats.MPCStats`; its congestion sketch is
-        pooled into the run-wide distribution.
+        ``stats`` is the batch's :class:`~repro.mpc.stats.MPCStats`; its
+        congestion sketch is pooled into the run-wide distribution.
         """
         retries = int(stats.requests) - int(stats.served)
-        bookkeeping = max(0.0, seconds - arbitration_seconds - memory_seconds)
-        self.seconds["bookkeeping"] += bookkeeping
         self.count("protocol.batches")
         self.count("protocol.rounds", rounds)
         self.count("protocol.retries", retries)
@@ -199,10 +154,6 @@ class Ledger:
             rounds=int(rounds),
             phi=int(phi),
             retries=retries,
-            seconds=seconds,
-            arbitration_seconds=arbitration_seconds,
-            memory_seconds=memory_seconds,
-            bookkeeping_seconds=bookkeeping,
             congestion_p50=float(summ["p50"] or 0.0),
             congestion_p95=float(summ["p95"] or 0.0),
             congestion_max=int(summ["max"]),
@@ -211,37 +162,6 @@ class Ledger:
         return rec
 
     # -- totals ---------------------------------------------------------
-
-    @contextmanager
-    def run(self) -> Iterator["Ledger"]:
-        """Measure the wall-clock total the attribution tree must cover.
-
-        Wrap the whole instrumented region (scheme accesses, workload
-        included if the caller wants it attributed); nestable -- each
-        entry adds its span to ``total_seconds``.
-        """
-        t0 = _time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.total_seconds += _time.perf_counter() - t0
-
-    def attribution(self) -> dict[str, object]:
-        """The phase tree: leaves, their sum, and the unattributed rest.
-
-        ``coverage`` is attributed/total (1.0 when every measured second
-        sits in a leaf); the acceptance bar is coverage >= 0.95.
-        """
-        leaves = {k: self.seconds[k] for k in PHASE_KEYS}
-        attributed = sum(leaves.values())
-        total = self.total_seconds
-        return {
-            "total_seconds": total,
-            "leaves": leaves,
-            "attributed_seconds": attributed,
-            "residual_seconds": max(0.0, total - attributed),
-            "coverage": (attributed / total) if total > 0 else 1.0,
-        }
 
     def congestion_summary(self) -> dict[str, float | None]:
         """p50/p95/max of the pooled per-step congestion distribution."""
@@ -252,22 +172,19 @@ class Ledger:
         }
 
     def snapshot(self) -> dict[str, object]:
-        """Plain-dict view: counters, field ops, congestion, attribution."""
+        """Plain-dict view: counters, field ops, congestion, batches."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gf_ops": self.gf.as_dict(),
             "addressing_ops": self.addressing_ops.as_dict(),
             "congestion": self.congestion_summary(),
-            "attribution": self.attribution(),
             "batches": [rec.event_fields() for rec in self.batches],
         }
 
     def reset(self) -> None:
-        """Forget every count, time, and batch (sink stays installed)."""
+        """Forget every count and batch (sink stays installed)."""
         self.gf.reset()
         self.addressing_ops.reset()
         self.congestion.reset()
         self.counters.clear()
-        self.seconds = {k: 0.0 for k in PHASE_KEYS}
         self.batches.clear()
-        self.total_seconds = 0.0

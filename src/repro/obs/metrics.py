@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, histograms, labeled timers.
+"""Metrics primitives: counters, gauges, and histograms, with labels.
 
 A :class:`MetricsRegistry` is a named bag of metric instruments with
 get-or-create semantics (``registry.counter("protocol.iterations")``),
@@ -6,10 +6,11 @@ point-in-time :meth:`~MetricsRegistry.snapshot`, cross-registry
 :meth:`~MetricsRegistry.merge` (e.g. to fold per-worker registries into
 one), :meth:`~MetricsRegistry.reset`, and JSON export.  Instruments may
 carry labels, which become part of the metric identity
-(``timer("protocol.access_seconds", op="read")`` snapshots under the key
-``protocol.access_seconds{op=read}``).
+(``counter("protocol.accesses", op="read")`` snapshots under the key
+``protocol.accesses{op=read}``).  Every instrument holds a count; wall
+time is measured by the repo benchmark (``bench/run.py``), not here.
 
-Merge semantics per instrument kind: counters, histograms, and timers
+Merge semantics per instrument kind: counters and histograms
 accumulate; gauges keep the maximum (the registry's gauges are
 high-watermarks such as ``mpc.max_congestion``).
 
@@ -22,13 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-import time
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
     "QUANTILES",
@@ -38,7 +37,7 @@ __all__ = [
 #: iteration/congestion counts (values above the last bound land in +Inf).
 DEFAULT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 1000)
 
-#: Quantiles every histogram/timer snapshot summarizes (p50/p95/p99).
+#: Quantiles every histogram snapshot summarizes (p50/p95/p99).
 QUANTILES = (0.5, 0.95, 0.99)
 
 
@@ -242,89 +241,6 @@ class Histogram:
         self.sketch.reset()
 
 
-class Timer:
-    """Accumulated wall time of a repeated operation (seconds).
-
-    Tracks count/total/max and the best-of-k ``min`` -- regression
-    checks compare best observed times, which are the least noisy --
-    plus p50/p95/p99 via a bounded deterministic sketch.
-    """
-
-    kind = "timer"
-    __slots__ = ("count", "total", "max", "min", "sketch")
-
-    def __init__(self):
-        self.sketch = _QuantileSketch()
-        self.reset()
-
-    def observe(self, seconds: float) -> None:
-        """Fold one measured duration into the totals."""
-        self.count += 1
-        self.total += seconds
-        if seconds > self.max:
-            self.max = seconds
-        if self.min is None or seconds < self.min:
-            self.min = seconds
-        self.sketch.observe(seconds)
-
-    def time(self) -> "_TimerContext":
-        """Context manager measuring the ``with`` block's duration."""
-        return _TimerContext(self)
-
-    def quantile(self, p: float) -> float | None:
-        """Estimated p-quantile of the durations (None if empty)."""
-        return self.sketch.quantile(p)
-
-    def snapshot(self) -> dict:
-        """Plain-JSON state of the instrument."""
-        mean = self.total / self.count if self.count else 0.0
-        snap = {
-            "type": self.kind,
-            "count": self.count,
-            "total_seconds": self.total,
-            "min_seconds": self.min,
-            "max_seconds": self.max,
-            "mean_seconds": mean,
-        }
-        snap.update(self.sketch.summary(suffix="_seconds"))
-        return snap
-
-    def merge(self, other: "Timer") -> None:
-        """Accumulate another timer into this one."""
-        self.count += other.count
-        self.total += other.total
-        self.max = max(self.max, other.max)
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min,
-                                                              other.min)
-        self.sketch.merge(other.sketch)
-
-    def reset(self) -> None:
-        """Zero the accumulated time (``min`` becomes None: no samples)."""
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-        self.min = None
-        self.sketch.reset()
-
-
-class _TimerContext:
-    """``with timer.time():`` support."""
-
-    __slots__ = ("_timer", "_t0")
-
-    def __init__(self, timer: Timer):
-        self._timer = timer
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self._timer.observe(time.perf_counter() - self._t0)
-        return False
-
-
 def _key(name: str, labels: dict) -> str:
     """Canonical metric key: ``name{k1=v1,k2=v2}`` with sorted labels."""
     if not labels:
@@ -337,7 +253,7 @@ class MetricsRegistry:
     """Named instruments with get-or-create, snapshot, merge, and reset.
 
     All accessor methods (:meth:`counter`, :meth:`gauge`,
-    :meth:`histogram`, :meth:`timer`) return the existing instrument for
+    :meth:`histogram`) return the existing instrument for
     the (name, labels) identity or create a fresh one; asking for an
     existing name with a different instrument kind raises ``ValueError``.
     """
@@ -357,23 +273,19 @@ class MetricsRegistry:
             )
         return m
 
-    def counter(self, name: str, **labels) -> Counter:
+    def counter(self, name: str, **labels: object) -> Counter:
         """Get or create a counter."""
         return self._get(name, labels, Counter)
 
-    def gauge(self, name: str, **labels) -> Gauge:
+    def gauge(self, name: str, **labels: object) -> Gauge:
         """Get or create a gauge."""
         return self._get(name, labels, Gauge)
 
     def histogram(
-        self, name: str, buckets: tuple = DEFAULT_BUCKETS, **labels
+        self, name: str, buckets: tuple = DEFAULT_BUCKETS, **labels: object
     ) -> Histogram:
         """Get or create a fixed-bucket histogram."""
         return self._get(name, labels, Histogram, buckets)
-
-    def timer(self, name: str, **labels) -> Timer:
-        """Get or create a labeled timer."""
-        return self._get(name, labels, Timer)
 
     def snapshot(self) -> dict:
         """Point-in-time plain-JSON view of every instrument, key-sorted."""

@@ -1,10 +1,11 @@
 """Benchmark telemetry and the cross-run performance trajectory.
 
-:mod:`repro.obs` (PR 1) instruments a *single* process; this module
-observes the repo *across runs*.  Every benchmark session (and the
-``repro perf record`` quick suite) routes its timed sections through a
-:class:`BenchRecorder`, which writes one machine-readable run record --
-a ``BENCH_<utc-stamp>.json`` file at the repo root.  A
+:mod:`repro.obs` counts inside a *single* process; this module
+observes the repo *across runs*.  The repo benchmark (``bench/run.py
+--bench-out DIR``), the load generator (``repro load --bench-out``) and
+the ``repro perf record`` GF-kernel quick suite route their timed
+sections through a :class:`BenchRecorder`, which writes one
+machine-readable run record -- a ``BENCH_<utc-stamp>.json`` file.  A
 :class:`Trajectory` loads every such record (plus the per-experiment
 metrics snapshots ``benchmarks/_util.save_tables`` persists), and a
 :class:`RegressionDetector` compares the latest run against a rolling
@@ -48,7 +49,8 @@ flags (``--soft`` reports without failing, for CI bootstrap).
 
 ### Surfacing
 
-``repro perf record`` runs the quick suite and writes a record;
+``repro perf record`` times the GF(2^m) kernels (the one path no
+``bench/`` layer times) and writes a record;
 ``repro perf report`` renders per-section trend tables with unicode
 sparklines and writes ``benchmarks/results/perf_dashboard.md``;
 ``repro perf check`` is the CI gate; ``tools/bench_delta.py`` diffs two
@@ -509,92 +511,23 @@ def render_report(trajectory: Trajectory, window: int = 5) -> str:
 
     if trajectory.metrics_snapshots:
         t3 = Table(
-            ["experiment snapshot", "metrics", "total timer seconds"],
+            ["experiment snapshot", "metrics"],
             title="Per-experiment obs snapshots (benchmarks/results/)",
         )
         for name in sorted(trajectory.metrics_snapshots):
-            snap = trajectory.metrics_snapshots[name]
-            total = sum(
-                m.get("total_seconds", 0.0) for m in snap.values()
-                if isinstance(m, dict) and m.get("type") == "timer"
-            )
-            t3.add_row([name, len(snap), round(total, 4)])
+            t3.add_row([name, len(trajectory.metrics_snapshots[name])])
         lines += [t3.render(), ""]
     return "\n".join(lines) + "\n"
 
 
-def run_quick_suite(
-    recorder: BenchRecorder, repeats: int = 3, engine: str = "vector"
-) -> None:
-    """The CI quick suite: an E6-style protocol sweep plus the kernel
-    microbenchmarks at small sizes -- a few seconds of wall time that
-    still covers every hot path the full benchmarks exercise.
-
-    ``engine`` selects the protocol executor for the protocol sections
-    (:mod:`repro.core.engine`): ``'vector'`` (default, the gated
-    sections), ``'scalar'`` (oracle sections, suffixed ``_scalar`` so
-    they trend separately), or ``'both'``, which also records the
-    ``quick.engine_speedup_n5`` scalar (scalar / vector median).  The
-    scalar engine only runs the small instances -- it exists to be
-    differentially tested against, not to be raced at full load.
-    """
+def run_quick_suite(recorder: BenchRecorder, repeats: int = 3) -> None:
+    """The quick suite: the GF(2^m) kernel microbenchmarks at 100k
+    elements.  No layer of the repo benchmark (``bench/run.py``) times
+    these kernels on their own; every other path is timed there."""
     import numpy as np
 
-    from repro.core.scheme import PPScheme
     from repro.gf.gf2m import GF2m
-    from repro.mpc.arbitration import LowestIdArbiter
 
-    if engine not in ("vector", "scalar", "both"):
-        raise ValueError(
-            f"engine must be 'vector', 'scalar' or 'both', got {engine!r}"
-        )
-    engines = ("vector", "scalar") if engine == "both" else (engine,)
-
-    recorder.measure(
-        "quick.scheme_build_n7", lambda: PPScheme(2, 7), repeats=repeats
-    )
-
-    # E6-style sweep: full load across n, partial loads on n=7
-    medians: dict[tuple[str, int], float] = {}
-    for n in (3, 5, 7):
-        s = PPScheme(2, n)
-        idx = s.random_request_set(min(s.N, s.M), seed=0)
-        for eng in engines:
-            if eng == "scalar" and n >= 7:
-                continue  # pure-python loop; full n>=7 load is minutes
-            suffix = "" if eng == "vector" else "_scalar"
-            summ = recorder.measure(
-                f"quick.protocol_full_n{n}{suffix}",
-                lambda s=s, idx=idx, eng=eng: s.access(
-                    idx, op="count", engine=eng
-                ),
-                repeats=repeats,
-            )
-            medians[(eng, n)] = summ["median"]
-        res = s.access(idx, op="count")
-        recorder.scalar(f"quick.phi_full_n{n}", res.max_phase_iterations)
-        recorder.scalar(f"quick.iters_full_n{n}", res.total_iterations)
-    if ("vector", 5) in medians and ("scalar", 5) in medians:
-        recorder.scalar(
-            "quick.engine_speedup_n5",
-            medians[("scalar", 5)] / medians[("vector", 5)],
-        )
-    s7 = PPScheme(2, 7)
-    for n_prime in (256, 4096):
-        idx = s7.random_request_set(n_prime, seed=1)
-        for eng in engines:
-            if eng == "scalar" and n_prime > 256:
-                continue
-            suffix = "" if eng == "vector" else "_scalar"
-            recorder.measure(
-                f"quick.protocol_n7_{n_prime}{suffix}",
-                lambda idx=idx, eng=eng: s7.access(
-                    idx, op="count", engine=eng
-                ),
-                repeats=repeats,
-            )
-
-    # kernel microbenchmarks, small sizes
     rng = np.random.default_rng(0)
     F = GF2m.get(18)
     a = rng.integers(0, F.order, 100_000)
@@ -605,43 +538,3 @@ def run_quick_suite(
     recorder.scalar("quick.gf_vmul_mops", 0.1 / s["median"])
     recorder.measure("quick.gf_vinv_100k", lambda: F.vinv(nz),
                      repeats=repeats)
-    mods = rng.integers(0, s7.N, 100_000)
-    arb = LowestIdArbiter()
-    recorder.measure("quick.arbitration_100k", lambda: arb(mods),
-                     repeats=repeats)
-    idx_full = s7.random_request_set(s7.N, seed=2)
-    recorder.measure(
-        "quick.vunrank_n7_full",
-        lambda: s7.addressing.vunrank(idx_full),
-        repeats=repeats,
-    )
-    mats = s7.addressing.vunrank(idx_full)
-    recorder.measure(
-        "quick.vgamma_n7_full",
-        lambda: s7.graph.vgamma_variables(mats),
-        repeats=repeats,
-    )
-
-    # service closed loop: tail latency + round throughput of the
-    # sharded front end, live watchdog attached (vector engine only --
-    # the scalar oracle is differential-test equipment, not a servable
-    # configuration)
-    if "vector" in engines:
-        from repro.service.batcher import ServiceConfig
-        from repro.service.loadgen import LoadConfig, run_load
-
-        svc = ServiceConfig(
-            n_shards=2, round_capacity=512, max_pending=2048, seed=0
-        )
-        load = LoadConfig(
-            clients=1500, ops_per_client=2, keyspace=512, mix="zipf", seed=0
-        )
-        best_rps = 0.0
-        for _ in range(repeats):
-            rep = run_load(load, svc)
-            recorder.observe("quick.service_latency_p50", rep.latency["p50"])
-            recorder.observe("quick.service_latency_p95", rep.latency["p95"])
-            recorder.observe("quick.service_latency_p99", rep.latency["p99"])
-            recorder.observe("quick.service_run", rep.elapsed)
-            best_rps = max(best_rps, rep.rounds_per_sec)
-        recorder.scalar("quick.service_rounds_per_sec", best_rps)

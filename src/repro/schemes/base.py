@@ -9,7 +9,6 @@ every scheme is measured under identical machine semantics.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from time import perf_counter as _perf_counter
 
 import numpy as np
 
@@ -143,7 +142,6 @@ class MemoryScheme(ABC):
             raise ValueError("requests must address distinct variables")
         led = _obs.ledger() if _obs.enabled() else None
         if led is not None:
-            t0 = _perf_counter()
             gf0 = led.gf.as_dict()
         modules = self.placement(indices)
         quorum = self.quorum_for(count_as or op)
@@ -152,7 +150,7 @@ class MemoryScheme(ABC):
         if op in ("read", "write"):
             slots = self.slots(indices, modules)
         if led is not None:
-            led.note_addressing(int(indices.size), _perf_counter() - t0, gf0)
+            led.note_addressing(int(indices.size), gf0)
         return run_access_protocol(
             modules,
             self.N,

@@ -84,6 +84,28 @@ class TestSeededFlowFixtures:
         assert "_run_phase" in f.message
         assert "division" in f.message
 
+    def test_f4_audits_helpers_inside_an_executor_file(self, tmp_path):
+        # the executor files are not exempt: a float in a protocol.py
+        # helper that both roots reach is on the shared surface
+        root = write_tree(tmp_path, {
+            "repro/core/protocol.py": """\
+                def halve(v):
+                    return v * 0.5
+
+                def _run_phase(vals):
+                    return halve(vals)
+                """,
+            "repro/core/engine.py": """\
+                from repro.core.protocol import halve
+
+                def run_phase_scalar(vals):
+                    return [halve(v) for v in vals]
+                """,
+        })
+        found = FlowEngine(LintConfig()).run([root])
+        assert [f.rule for f in found] == ["F4"], found
+        assert found[0].path == "repro/core/protocol.py"
+
 
 # ---------------------------------------------------------------------------
 # the project model

@@ -340,16 +340,23 @@ class TestD4LedgerEmission:
             "    if _obs.enabled():\n"
             "        led = _obs.ledger()\n"
             "        if led is not None:\n"
-            "            led.add_seconds('memory', 0.1)\n"
+            "            led.count('protocol.batches')\n"
         )
         assert lint_source(src, CORE) == []
+        # the same emission without either guard is flagged
+        bare = self.OBS_IMPORT + (
+            "def emit():\n"
+            "    led = _obs.ledger()\n"
+            "    led.count('protocol.batches')\n"
+        )
+        assert rules_of(lint_source(bare, CORE)) == ["D4"]
 
     def test_none_check_alone_suffices(self):
         src = self.OBS_IMPORT + (
             "def emit():\n"
             "    led = _obs.ledger()\n"
             "    if led is not None:\n"
-            "        led.note_addressing(4, 0.1, {})\n"
+            "        led.note_addressing(4, {})\n"
         )
         assert lint_source(src, CORE) == []
 

@@ -1,9 +1,8 @@
-"""Tests for the observability CLI surfacing (``metrics``, ``profile``,
-``access --trace-out``) and the summarizer/profiler tools."""
+"""Tests for the observability CLI surfacing (``metrics``,
+``access --trace-out``) and the trace summarizer tool."""
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -76,24 +75,6 @@ class TestMetricsCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestProfileCommand:
-    def test_runs(self, capsys):
-        assert main(["profile", "-n", "3", "--count", "40", "--limit", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "Phi =" in out and "cumulative" in out
-
-    def test_sort_tottime(self, capsys):
-        assert main(
-            ["profile", "-n", "3", "--count", "40", "--sort", "tottime",
-             "--limit", "5"]
-        ) == 0
-        assert "internal time" in capsys.readouterr().out
-
-    def test_bad_sort_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "--sort", "nonsense"])
-
-
 class TestTraceReportTool:
     def run_tool(self, *argv):
         return subprocess.run(
@@ -123,35 +104,3 @@ class TestTraceReportTool:
         proc = self.run_tool(str(path))
         assert proc.returncode == 2
         assert "no protocol.access" in proc.stderr
-
-
-class TestProfileTool:
-    def test_runs_and_sorts(self):
-        proc = subprocess.run(
-            [sys.executable,
-             os.path.join(ROOT, "tools", "profile_protocol.py"),
-             "3", "40", "--sort", "tottime", "--limit", "5"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "internal time" in proc.stdout
-
-    def test_import_failure_exits_nonzero(self, tmp_path):
-        # Run a copy of the tool from outside the repo with a poisoned
-        # ``repro`` shadowing any real installation: the import must
-        # fail and the exit code must be non-zero (the satellite fix).
-        tool = tmp_path / "profile_protocol.py"
-        shutil.copy(
-            os.path.join(ROOT, "tools", "profile_protocol.py"), tool
-        )
-        (tmp_path / "repro.py").write_text(
-            'raise ImportError("poisoned for the test")\n'
-        )
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        proc = subprocess.run(
-            [sys.executable, str(tool), "3", "10"],
-            capture_output=True, text=True, timeout=60, env=env,
-            cwd=str(tmp_path),
-        )
-        assert proc.returncode == 1
-        assert "cannot import repro" in proc.stderr

@@ -48,13 +48,6 @@ class TestRunExplain:
         for row in pp.checks:
             assert row.measurement.quantities["addr_field_ops"] > 0
 
-    def test_attribution_leaves_cover_total(self, result):
-        att = result.attribution
-        assert att["attributed_seconds"] <= att["total_seconds"] + 1e-9
-        # exact floor (0.95) is enforced by the CI explain job on a
-        # dedicated run; here stay loose against loaded test machines
-        assert result.coverage > 0.5
-
     def test_ledger_events_streamed(self, result):
         # 2 batches per measured run: (3 cal + 2 check) * 2 schemes + attack
         assert result.bus_events == 22
@@ -72,10 +65,13 @@ class TestRender:
         assert "## single (N=64, M=512, r=1)" in md
         assert "## Congestion heat" in md
         assert "Flagged as expected" in md
-        assert "## Attribution tree" in md
-        # the verdict tracks result.ok rather than being pinned to PASS:
-        # coverage is wall-time-dependent and can dip under suite load
-        assert ("**PASS**" if result.ok else "**FAIL**") in md
+        assert "**PASS** -- 0 check violation(s), attack flagged." in md
+
+    def test_report_is_deterministic(self):
+        # counts only: two runs render byte-identical markdown
+        first = render_markdown(run_explain(quick=True))
+        assert render_markdown(run_explain(quick=True)) == first
+        assert "seconds" not in first and " ms" not in first
 
     def test_write_report(self, result, tmp_path):
         path = write_report(result, str(tmp_path / "sub" / "r.md"))
@@ -92,12 +88,3 @@ class TestCLI:
         assert rc == 0
         assert out.exists()
         assert "0 check violation(s), attack flagged" in capsys.readouterr().out
-
-    def test_coverage_floor_enforced(self, tmp_path):
-        from repro.cli import main
-
-        rc = main([
-            "explain", "--quick", "--check", "--coverage-min", "1.01",
-            "--out", "-",
-        ])
-        assert rc == 1

@@ -10,7 +10,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Timer,
 )
 
 
@@ -91,52 +90,6 @@ class TestHistogram:
             Histogram(buckets=(1,)).merge(Histogram(buckets=(2,)))
 
 
-class TestTimer:
-    def test_observe(self):
-        t = Timer()
-        t.observe(0.5)
-        t.observe(1.5)
-        snap = t.snapshot()
-        assert snap["count"] == 2
-        assert snap["total_seconds"] == 2.0
-        assert snap["min_seconds"] == 0.5
-        assert snap["max_seconds"] == 1.5
-        assert snap["mean_seconds"] == 1.0
-
-    def test_min_tracking(self):
-        t = Timer()
-        assert t.snapshot()["min_seconds"] is None  # no samples yet
-        t.observe(2.0)
-        t.observe(0.25)
-        t.observe(1.0)
-        assert t.min == 0.25
-        t.reset()
-        assert t.min is None and t.snapshot()["min_seconds"] is None
-
-    def test_time_context(self):
-        t = Timer()
-        with t.time():
-            pass
-        assert t.count == 1 and t.total >= 0.0
-        assert t.min is not None and t.min <= t.max
-
-    def test_merge(self):
-        a, b = Timer(), Timer()
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 2 and a.total == 4.0 and a.max == 3.0
-        assert a.min == 1.0
-
-    def test_merge_min_with_empty(self):
-        a, b = Timer(), Timer()
-        b.observe(0.5)
-        a.merge(b)  # empty absorbs the other's min
-        assert a.min == 0.5
-        a.merge(Timer())  # merging an empty timer keeps the min
-        assert a.min == 0.5
-
-
 class TestRegistry:
     def test_get_or_create_identity(self):
         r = MetricsRegistry()
@@ -159,7 +112,6 @@ class TestRegistry:
         r.counter("z").inc()
         r.gauge("a").set(1)
         r.histogram("h").observe(3)
-        r.timer("t").observe(0.1)
         snap = r.snapshot()
         assert list(snap) == sorted(snap)
         parsed = json.loads(r.to_json())
@@ -269,16 +221,6 @@ class TestQuantileSummaries:
         assert snap["p50"] == h.quantile(0.5)
         assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
 
-    def test_timer_snapshot_has_seconds_quantile_keys(self):
-        t = Timer()
-        for ms in range(1, 51):
-            t.observe(ms / 1000.0)
-        snap = t.snapshot()
-        assert {"p50_seconds", "p95_seconds", "p99_seconds"} <= set(snap)
-        assert (
-            snap["p50_seconds"] <= snap["p99_seconds"] <= snap["max_seconds"]
-        )
-
     def test_histogram_merge_pools_quantiles(self):
         a, b = Histogram(), Histogram()
         for v in range(10):
@@ -295,15 +237,6 @@ class TestQuantileSummaries:
         h.reset()
         assert h.quantile(0.5) is None
         assert h.snapshot()["p50"] is None
-
-    def test_timer_merge_and_reset(self):
-        a, b = Timer(), Timer()
-        a.observe(0.001)
-        b.observe(0.5)
-        a.merge(b)
-        assert a.quantile(0.99) == 0.5
-        a.reset()
-        assert a.quantile(0.5) is None
 
     def test_registry_roundtrip_serializes_quantiles(self):
         r = MetricsRegistry()

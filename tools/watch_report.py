@@ -107,12 +107,11 @@ def metrics_section(metrics: dict) -> list[str]:
     for name in sorted(metrics):
         m = metrics[name]
         kind = m.get("type", "?")
-        if kind in ("histogram", "timer"):
-            sfx = "_seconds" if kind == "timer" else ""
+        if kind == "histogram":
             lines.append(
                 f"| `{name}` | {kind} | {m.get('count', 0)} obs "
-                f"| {m.get('p50' + sfx, '-')} | {m.get('p95' + sfx, '-')} "
-                f"| {m.get('p99' + sfx, '-')} | {m.get('max', '-')} |"
+                f"| {m.get('p50', '-')} | {m.get('p95', '-')} "
+                f"| {m.get('p99', '-')} | {m.get('max', '-')} |"
             )
         else:
             lines.append(
