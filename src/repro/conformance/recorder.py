@@ -1,12 +1,12 @@
 """Per-operation memory trace recording for conformance checking.
 
-The protocol engine emits one ``mem.op`` trace event per request of
-every read/write batch (:func:`repro.core.protocol.run_access_protocol`
-with ``var_ids`` threaded down by both scheme layers), and the parallel
-KV store emits one ``kv.op`` event per key of every completed batch
-operation -- both only while a recording tracer is installed, behind the
-same single :func:`repro.obs.enabled` guard as the rest of the
-observability layer, so a run without a tracer pays nothing.
+Every protocol batch (``var_ids`` threaded down by both scheme layers)
+and every completed kvstore batch operation hands one record to
+:func:`repro.obs.emit`, behind the single :func:`repro.obs.enabled`
+guard.  A recording tracer expands it into one ``mem.op`` event per
+read/write request or one ``kv.op`` event per key; the bus carries the
+record itself, which :func:`ops_from_record` expands into the same
+operations.
 
 :class:`TraceRecorder` is a :class:`~repro.obs.trace.RecordingTracer`
 that knows how to project those events back out as typed operation
@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import repro.obs as _obs
+from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.trace import RecordingTracer, read_jsonl
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "record",
     "mem_ops_from_events",
     "kv_ops_from_events",
+    "ops_from_record",
     "load_mem_ops",
     "load_kv_ops",
 ]
@@ -86,38 +88,37 @@ class KvOp:
 def mem_ops_from_events(events) -> list[MemOp]:
     """Project the ``mem.op`` events of a trace into :class:`MemOp`
     records (other events pass through untouched)."""
-    out: list[MemOp] = []
-    for e in events:
-        if e.get("name") != MEM_EVENT:
-            continue
-        out.append(
-            MemOp(
-                op=e["op"],
-                var=int(e["var"]),
-                value=int(e["value"]),
-                round=int(e["round"]),
-                proc=int(e["proc"]),
-                phase=int(e.get("phase", 0)),
-                lost=bool(e.get("lost", False)),
-                seq=int(e["seq"]),
-            )
+    return [
+        MemOp(
+            op=e["op"], var=int(e["var"]), value=int(e["value"]),
+            round=int(e["round"]), proc=int(e["proc"]),
+            phase=int(e.get("phase", 0)), lost=bool(e.get("lost", False)),
+            seq=int(e["seq"]),
         )
-    return out
+        for e in events
+        if e.get("name") == MEM_EVENT
+    ]
 
 
 def kv_ops_from_events(events) -> list[KvOp]:
     """Project the ``kv.op`` events of a trace into :class:`KvOp` records."""
     return [
         KvOp(
-            op=e["op"],
-            key=str(e["key"]),
-            value=int(e["value"]),
-            round=int(e["round"]),
-            seq=int(e["seq"]),
+            op=e["op"], key=str(e["key"]), value=int(e["value"]),
+            round=int(e["round"]), seq=int(e["seq"]),
         )
         for e in events
         if e.get("name") == KV_EVENT
     ]
+
+
+def ops_from_record(
+    rec: BatchRecord | KvRecord, seq: int = 0
+) -> list[MemOp] | list[KvOp]:
+    """The operations of one batch record (a bus event's ``record``),
+    as its trace events carry them, numbered from ``seq + 1``."""
+    cls = KvOp if isinstance(rec, KvRecord) else MemOp
+    return [cls(seq=seq + i, **f) for i, f in enumerate(rec.op_events(), 1)]
 
 
 def load_mem_ops(path: str) -> list[MemOp]:

@@ -5,7 +5,7 @@ a *whole* recorded trace -- O(trace) memory, verdict at process exit.
 This module runs the same per-variable serial-memory verification
 *while the system executes*, with bounded memory:
 
-* :class:`StreamingChecker` buffers ``mem.op`` / ``kv.op`` events by
+* :class:`StreamingChecker` buffers memory / kv operations by
   logical round and **closes** a round once the stream has advanced
   ``window`` rounds past it -- the protocol's total round order means a
   closed round can never receive another operation (late arrivals are
@@ -15,10 +15,11 @@ This module runs the same per-variable serial-memory verification
   and old past-value state is retired, so retained state is
   O(window x live variables) instead of O(trace).
 * :class:`Watchdog` attaches a streaming checker plus a
-  :class:`~repro.obs.stream.HealthAggregator` to an event bus: one
-  ``poll()`` drains the bounded subscription, verifies everything the
-  window allows, and updates the live ``watch.*`` gauges (checker lag,
-  retained state, drop counts, violations).
+  :class:`~repro.obs.stream.HealthAggregator` to an event bus (one
+  batch record per event): one ``poll()`` drains the bounded
+  subscription, verifies everything the window allows, and updates the
+  live ``watch.*`` gauges (checker lag, retained state, drop counts,
+  violations).
 * :func:`run_watchdog_canary` proves the point online: the ``q/2 + 1``
   stale-majority attack -- the one fault the protocol cannot mask -- is
   flagged *mid-run*, rounds before the trace ends, pinned to the exact
@@ -35,8 +36,9 @@ the batch checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import repro.obs as _obs
 from repro.conformance.checker import (
@@ -46,15 +48,9 @@ from repro.conformance.checker import (
     ViolationReport,
     _OP_RANK,
 )
-from repro.conformance.recorder import (
-    KV_EVENT,
-    MEM_EVENT,
-    KvOp,
-    MemOp,
-    kv_ops_from_events,
-    mem_ops_from_events,
-)
+from repro.conformance.recorder import KvOp, MemOp, ops_from_record
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.stream import EventBus, HealthAggregator
 from repro.workloads.generators import op_batches
 
@@ -73,11 +69,8 @@ __all__ = [
     "stream_fuzz",
 ]
 
-#: watchdog events: the two op streams plus the bus-only health and
-#: bound-accounting feeds
-_WATCH_EVENTS = frozenset(
-    {MEM_EVENT, KV_EVENT, "protocol.health", "scheme.topology", "ledger.batch"}
-)
+#: watchdog events: the two batch-record kinds the bus carries
+_WATCH_EVENTS = frozenset({BatchRecord.EVENT, KvRecord.EVENT})
 
 
 class StreamingChecker:
@@ -120,14 +113,6 @@ class StreamingChecker:
         self.peak_buffered = 0
 
     # -- feeding -------------------------------------------------------
-
-    def feed_event(self, event: dict) -> None:
-        """Feed one bus/trace event (non-op events are ignored)."""
-        name = event.get("name")
-        if name == MEM_EVENT:
-            self.feed_mem(mem_ops_from_events((event,))[0])
-        elif name == KV_EVENT:
-            self.feed_kv(kv_ops_from_events((event,))[0])
 
     def feed_mem(self, op: MemOp) -> None:
         """Buffer one memory operation and advance the window."""
@@ -257,31 +242,19 @@ class HealthSnapshot:
     events_dropped: int
 
     def to_dict(self) -> dict:
-        """JSON-serializable form."""
-        return {
-            "round": self.round,
-            "batches": self.batches,
-            "requests": self.requests,
-            "lost": self.lost,
-            "degraded": self.degraded,
-            "min_quorum_margin": self.min_quorum_margin,
-            "checker_lag": self.checker_lag,
-            "state_size": self.state_size,
-            "buffered": self.buffered,
-            "violations": self.violations,
-            "events_dropped": self.events_dropped,
-        }
+        """JSON-serializable form (every field, in order)."""
+        return asdict(self)
 
 
 class Watchdog:
     """Live conformance + health monitor attached to an event bus.
 
-    Subscribes to the op and health streams, feeds a
+    Subscribes to the two batch-record kinds, feeds a
     :class:`StreamingChecker` and a
     :class:`~repro.obs.stream.HealthAggregator`, and exports the
     ``watch.*`` metrics.  Call :meth:`poll` between protocol batches
     (or on any cadence); the subscription queue is bounded, so a
-    watchdog that polls too rarely loses events *visibly* (the
+    watchdog that polls too rarely loses records *visibly* (the
     ``watch.events_dropped`` gauge) instead of stalling the system.
     """
 
@@ -305,6 +278,7 @@ class Watchdog:
             names=_WATCH_EVENTS, capacity=queue_capacity
         )
         self.snapshots: list[HealthSnapshot] = []
+        self._seq = 0  # operations expanded so far
         self.violations_seen = 0
         #: (violation, stream-head round when it was flagged)
         self.first_violation: tuple[Violation, int] | None = None
@@ -316,14 +290,22 @@ class Watchdog:
         self.registry.counter("watch.violations").inc()
 
     def poll(self) -> int:
-        """Drain the subscription; returns the number of events routed."""
+        """Drain the subscription; returns the number of records routed.
+        Each record's operations reach the checker numbered in arrival
+        order; protocol records also feed the health aggregator."""
         events = self.subscription.drain()
+        checker = self.checker
         for e in events:
-            name = e.get("name")
-            if name == MEM_EVENT or name == KV_EVENT:
-                self.checker.feed_event(e)
+            rec = e["record"]
+            ops = ops_from_record(rec, self._seq)
+            self._seq += len(ops)
+            if isinstance(rec, KvRecord):
+                feed = checker.feed_kv
             else:
-                self.health.consume(e)
+                self.health.consume(rec)
+                feed = checker.feed_mem
+            for op in ops:
+                feed(op)
         self._update_gauges()
         return len(events)
 
@@ -367,6 +349,17 @@ class Watchdog:
     def ok(self) -> bool:
         """No violations flagged so far."""
         return self.checker.n_violations == 0
+
+
+@contextmanager
+def _watching(window: int) -> Iterator[Watchdog]:
+    """A :class:`Watchdog` on a fresh bus, installed for the block."""
+    bus = EventBus()
+    prev = _obs.set_bus(bus)
+    try:
+        yield Watchdog(bus, window=window)
+    finally:
+        _obs.set_bus(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +452,7 @@ def run_watchdog_canary(
 
     # -- attack run: q/2 + 1 stale copies, fresh remnant unreachable ----
     attack = build_stale_majority(seed=seed, n_victims=n_victims, engine=engine)
-    bus = EventBus()
-    watchdog = Watchdog(bus, window=window)
-    prev = _obs.set_bus(bus)
-    try:
+    with _watching(window) as watchdog:
         attack.seed_history()
         watchdog.poll()
         attack.go_stale()
@@ -481,15 +471,10 @@ def run_watchdog_canary(
             watchdog.snapshot()
         watchdog.finish()
         watchdog.snapshot()
-    finally:
-        _obs.set_bus(prev)
 
     # -- control run: exactly q/2 stale copies, fresh majority answers --
     control = build_stale_majority(seed=seed, n_victims=n_victims, engine=engine)
-    cbus = EventBus()
-    cwatch = Watchdog(cbus, window=window)
-    cprev = _obs.set_bus(cbus)
-    try:
+    with _watching(window) as cwatch:
         control.seed_history()
         control.go_stale(k=control.ctx.tolerance, cut="stale")
         control.read(time=3)
@@ -497,8 +482,6 @@ def run_watchdog_canary(
             control.write_tail(time=t, values=payload_values(t, control.idx))
             cwatch.poll()
         cwatch.finish()
-    finally:
-        _obs.set_bus(cprev)
 
     return OnlineCanaryResult(
         expected=expected,
@@ -601,7 +584,7 @@ def stream_fuzz(
 ) -> StreamFuzzResult:
     """Replay a seeded workload with the live watchdog attached.
 
-    No trace is recorded -- every ``mem.op`` flows through the bounded
+    No trace is recorded -- every batch record flows through the bounded
     bus into the :class:`StreamingChecker`, which is how the memory
     bound is real: at no point does the process hold the full op
     history.  ``scheme`` is a scheme instance or a key from
@@ -617,13 +600,10 @@ def stream_fuzz(
     plan = op_batches(
         scheme.M, total_ops, seed=seed, max_batch=min(max_batch, scheme.M)
     )
-    bus = EventBus()
-    watchdog = Watchdog(bus, window=window)
     store = scheme.make_store()
-    prev = _obs.set_bus(bus)
     ops = 0
     t = 0
-    try:
+    with _watching(window) as watchdog:
         for t, (kind, idx) in enumerate(plan, start=1):
             ops += idx.size
             if kind == "write":
@@ -638,8 +618,6 @@ def stream_fuzz(
                 snap = watchdog.snapshot()
                 if on_snapshot is not None:
                     on_snapshot(snap)
-    finally:
-        _obs.set_bus(prev)
     report = watchdog.finish()
     snap = watchdog.snapshot()
     if on_snapshot is not None:

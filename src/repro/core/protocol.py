@@ -27,7 +27,9 @@ in three modes:
 
 When observability is on (:mod:`repro.obs`), every batch emits a
 ``protocol.access`` span and per-phase ``protocol.phase`` spans carrying
-the live-history trajectory ``R_k``; when off, the run pays one guard.
+the live-history trajectory ``R_k``, and closes by handing one
+:class:`~repro.obs.record.BatchRecord` to :func:`repro.obs.emit`; when
+off, the run pays one guard.
 """
 
 from __future__ import annotations
@@ -190,11 +192,10 @@ def run_access_protocol(
         ``allow_partial`` semantics) instead of being retried forever.
     var_ids:
         ``(V,)`` global variable ids of the requests, used only to label
-        the per-operation ``mem.op`` trace events consumed by the
-        conformance checker (:mod:`repro.conformance`).  Defaults to the
-        batch positions.  Events are emitted only for read/write ops and
-        only while a recording tracer is installed, so the healthy path
-        pays nothing extra.
+        the batch's :class:`~repro.obs.record.BatchRecord` (and so the
+        ``mem.op`` events of :mod:`repro.conformance`); defaults to the
+        batch positions.  A mis-shaped array raises before any access,
+        observability on or off.
     engine:
         ``'vector'`` (numpy batch execution, the default), ``'scalar'``
         (the pure-Python per-processor oracle), or None to resolve via
@@ -233,6 +234,10 @@ def run_access_protocol(
             raise ValueError("values must be shape (V,)")
         if np.any((values < 0) | (values >= VALUE_LIMIT)):
             raise ValueError("write values must be in [0, 2^32)")
+    if var_ids is not None:
+        var_ids = np.asarray(var_ids, dtype=np.int64).reshape(-1)
+        if var_ids.shape[0] != V:
+            raise ValueError(f"var_ids must have shape ({V},)")
 
     mpc = MPC(n_modules, arbitration=arbitration, seed=seed)
     out_values = (
@@ -294,7 +299,6 @@ def run_access_protocol(
         raise ValueError("n_phases must be >= 1")
     phases: list[PhaseTrace] = []
     obs_on = _obs.enabled()
-    led = _obs.ledger() if obs_on else None
     with _obs.span(
         "protocol.access", op=op, requests=V, q=q, phases=phase_count,
         engine=eng,
@@ -341,37 +345,15 @@ def run_access_protocol(
                 module_ids, dead_copy, grey, failed_arr, out_lost, out_sat,
                 retry_limit,
             )
-    if obs_on and op != "count":
-        _emit_mem_ops(
-            op, var_ids, V, phase_count, out_values, values, out_lost, time
-        )
-        b = _obs.bus()
-        if b is not None:
-            _publish_health(
-                b, op, time, V, copies, majority, n_modules, mpc.stats,
-                phases, dead_copy, unsatisfiable, fault_report,
-            )
-    if obs_on and _obs.metrics_enabled():
-        m = _obs.metrics()
-        m.counter("protocol.accesses", op=op).inc()
-        m.counter("protocol.iterations").inc(sum(p.iterations for p in phases))
-        hist = m.histogram("protocol.phase_iterations")
-        for p in phases:
-            hist.observe(p.iterations)
-        if unsatisfiable is not None:
-            m.counter("protocol.lost_variables").inc(int(unsatisfiable.size))
-    if led is not None:
-        rec = led.record_batch(
-            op=op,
-            requests=V,
-            copies=copies,
-            majority=majority,
-            modules=n_modules,
-            rounds=sum(p.iterations for p in phases),
-            phi=max((p.iterations for p in phases), default=0),
-            stats=mpc.stats,
-        )
-        _obs.publish("ledger.batch", **rec.event_fields())
+    if obs_on:  # the record's columns are its own copies
+        ids = np.arange(V, dtype=np.int64) if var_ids is None else var_ids
+        vals = {"read": out_values, "write": values}.get(op)
+        _obs.emit(_obs.BatchRecord(
+            op=op, time=int(time), copies=copies, majority=majority,
+            modules=n_modules, var_ids=ids.copy(),
+            values=None if vals is None else vals.copy(), lost=out_lost,
+            phases=phases, stats=mpc.stats, fault_report=fault_report,
+        ))
 
     return AccessResult(
         op=op,
@@ -383,109 +365,6 @@ def run_access_protocol(
         unsatisfiable=unsatisfiable,
         fault_report=fault_report,
         engine=eng,
-    )
-
-
-def _emit_mem_ops(
-    op: str,
-    var_ids: np.ndarray | None,
-    V: int,
-    phase_count: int,
-    out_values: np.ndarray | None,
-    values: np.ndarray | None,
-    out_lost: np.ndarray | None,
-    time: int,
-) -> None:
-    """One ``mem.op`` trace event per request of a read/write batch.
-
-    The event is the checker-facing record of what the memory *did*:
-    ``var`` (global id), ``value`` (written, or observed by the read),
-    ``round`` (the batch's logical timestamp), ``proc`` (the requesting
-    position -- the cluster member in charge), ``phase`` (the protocol
-    phase that served it) and ``lost`` (quorum lost, value invalid).
-    """
-    tr = _obs.tracer()
-    if not tr.enabled and _obs.bus() is None:
-        return
-    ids = (
-        np.arange(V, dtype=np.int64)
-        if var_ids is None
-        else np.asarray(var_ids, dtype=np.int64).reshape(-1)
-    )
-    if ids.shape[0] != V:
-        raise ValueError(f"var_ids must have shape ({V},)")
-    vals = out_values if op == "read" else values
-    for i in range(V):
-        _obs.publish(
-            "mem.op",
-            op=op,
-            var=int(ids[i]),
-            value=int(vals[i]),
-            round=int(time),
-            proc=i,
-            phase=i % phase_count,
-            lost=bool(out_lost[i]) if out_lost is not None else False,
-        )
-
-
-def _publish_health(
-    b,
-    op: str,
-    time: int,
-    V: int,
-    copies: int,
-    majority: int,
-    n_modules: int,
-    stats,
-    phases: list[PhaseTrace],
-    dead_copy: np.ndarray | None,
-    unsatisfiable: np.ndarray | None,
-    fault_report,
-) -> None:
-    """One bus-only ``protocol.health`` event per read/write batch.
-
-    Bus-only on purpose: recorded traces keep their existing schema
-    byte-for-byte, while live consumers (:class:`repro.obs.stream.
-    HealthAggregator`) get the per-batch gauges.  ``load_skew`` is
-    ``100 x max_congestion / (served / (modules x steps))`` -- 100
-    means perfectly balanced, larger means hotter hot spots.
-    ``quorum_margin`` is the worst variable's live copies beyond the
-    majority (0 = one more failure loses data).
-    """
-    if not _obs.enabled():
-        return
-    total_iters = sum(p.iterations for p in phases)
-    served = int(stats.served)
-    skew = (
-        int(round(100 * stats.max_congestion * n_modules * stats.steps
-                  / served))
-        if served
-        else 0
-    )
-    if dead_copy is not None:
-        margin = int((copies - dead_copy.sum(axis=1)).min()) - majority
-    else:
-        margin = copies - majority
-    degraded = 0
-    if fault_report is not None:
-        degraded = int(np.count_nonzero(fault_report.outcomes == DEGRADED))
-    b.publish(
-        "protocol.health",
-        {
-            "op": op,
-            "round": int(time),
-            "requests": V,
-            "copies": copies,
-            "majority": majority,
-            "modules": n_modules,
-            "iterations": total_iters,
-            "served": served,
-            "max_congestion": int(stats.max_congestion),
-            "load_skew": skew,
-            "lost": int(unsatisfiable.size) if unsatisfiable is not None else 0,
-            "degraded": degraded,
-            "quorum_margin": margin,
-        },
     )
 
 

@@ -154,22 +154,6 @@ class PPScheme:
             sp.add(N=self.N, M=self.M, addressing=self.addressing_kind)
         if _obs.metrics_enabled():
             _obs.metrics().counter("scheme.builds").inc()
-        if _obs.enabled():
-            # bus-only topology announcement for live health consumers
-            # (recorded traces already carry the scheme.build span)
-            b = _obs.bus()
-            if b is not None:
-                b.publish(
-                    "scheme.topology",
-                    {
-                        "q": self.q,
-                        "n": self.n,
-                        "N": self.N,
-                        "M": self.M,
-                        "copies": self.q + 1,
-                        "majority": self.q // 2 + 1,
-                    },
-                )
 
     # -- placement -------------------------------------------------------
 

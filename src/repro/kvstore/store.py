@@ -54,11 +54,11 @@ class ParallelKVStore:
         ``$REPRO_ENGINE``/vector default).  Each batch operation also
         accepts a per-call ``engine=`` override.
     var_base:
-        Offset added to the variable ids this store *emits* (``mem.op``
-        trace events); placement is untouched.  Sharded deployments
-        give each store a disjoint namespace (shard ``i`` uses
-        ``i * scheme.M``) so the conformance checker never aliases two
-        stores' variables.
+        Offset added to the variable ids this store *emits* (the
+        ``var_ids`` of its batch records); placement is untouched.
+        Sharded deployments give each store a disjoint namespace (shard
+        ``i`` uses ``i * scheme.M``) so the conformance checker never
+        aliases two stores' variables.
 
     Notes
     -----
@@ -161,7 +161,7 @@ class ParallelKVStore:
 
         Lets several stores share one monotone round order -- the
         sharded service syncs every shard to the global service clock
-        before each batch so the ``kv.op`` stream stays totally ordered
+        before each batch so the kv records stay totally ordered
         across shards for the streaming checker.
         """
         self._time = max(self._time, int(time))
@@ -280,27 +280,20 @@ class ParallelKVStore:
 
     def _observe_op(self, op: str, n_keys: int) -> None:
         """Entry hook for the public batch operations (self-guarded)."""
-        if not _obs.enabled():
-            return
-        _obs.tracer().event("kvstore.op", op=op, keys=n_keys)
-        if _obs.metrics_enabled():
-            _obs.metrics().counter("kvstore.ops", op=op).inc()
+        if _obs.enabled():
+            _obs.tracer().event("kvstore.op", op=op, keys=n_keys)
 
-    def _emit_kv_ops(self, op: str, keys, values) -> None:
-        """One ``kv.op`` trace event per key of a completed batch -- the
-        store-level record the conformance checker diffs against plain
-        dict semantics (:mod:`repro.conformance`).  ``round`` is the
-        store's logical clock after the batch, so successive batches are
-        totally ordered.  Events go to the tracer and, when one is
-        installed, the live event bus.  Callers must check
-        ``_obs.enabled()`` first."""
-        tr = _obs.tracer()
-        if not tr.enabled and _obs.bus() is None:
-            return
-        for k, v in zip(keys, np.ravel(values)):
-            _obs.publish(
-                "kv.op", op=op, key=str(k), value=int(v), round=self._time
-            )
+    def _emit(
+        self, op: str, keys: Sequence[int | str], values: np.ndarray
+    ) -> None:
+        """Hand the completed batch to :func:`repro.obs.emit` as one
+        :class:`~repro.obs.record.KvRecord`, stamped with the store's
+        clock after the batch (successive batches are totally ordered)."""
+        if _obs.enabled():
+            _obs.emit(_obs.KvRecord(
+                op=op, keys=tuple(keys), values=np.array(values).ravel(),
+                time=self._time,
+            ))
 
     # -- public API ------------------------------------------------------------------
 
@@ -313,8 +306,7 @@ class ParallelKVStore:
         Returns a stats dict (inserted, updated, protocol rounds used).
         ``engine`` overrides the store default executor for this batch.
         """
-        if _obs.enabled():
-            self._observe_op("put", len(keys))
+        self._observe_op("put", len(keys))
         values = np.asarray(values, dtype=np.int64)
         if len(keys) != values.shape[0]:
             raise ValueError("keys and values must have equal length")
@@ -362,8 +354,7 @@ class ParallelKVStore:
             self._write_vars(
                 2 * slot[updates] + 1, values[updates], engine=engine
             )
-        if _obs.enabled():
-            self._emit_kv_ops("put", keys, values)
+        self._emit("put", keys, values)
         return {
             "inserted": int((~found).sum()),
             "updated": int(found.sum()),
@@ -377,8 +368,7 @@ class ParallelKVStore:
 
         ``engine`` overrides the store default executor for this batch.
         """
-        if _obs.enabled():
-            self._observe_op("get", len(keys))
+        self._observe_op("get", len(keys))
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
@@ -387,8 +377,7 @@ class ParallelKVStore:
         if found.any():
             vals = self._read_vars(2 * slot[found] + 1, engine=engine)
             out[found] = vals
-        if _obs.enabled():
-            self._emit_kv_ops("get", keys, out)
+        self._emit("get", keys, out)
         return out
 
     def batch_delete(
@@ -398,8 +387,7 @@ class ParallelKVStore:
 
         ``engine`` overrides the store default executor for this batch.
         """
-        if _obs.enabled():
-            self._observe_op("delete", len(keys))
+        self._observe_op("delete", len(keys))
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
@@ -411,8 +399,7 @@ class ParallelKVStore:
                 engine=engine,
             )
             self.size -= int(found.sum())
-        if _obs.enabled():
-            self._emit_kv_ops("delete", keys, found.astype(np.int64))
+        self._emit("delete", keys, found.astype(np.int64))
         return int(found.sum())
 
     def scan(self, engine: str | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -496,7 +496,10 @@ class UnguardedObservabilityRule(Rule):
     must sit behind the single :func:`repro.obs.enabled` switchboard
     guard, so the healthy hot path pays one boolean check and nothing
     else -- the <5% overhead budget of ``tests/obs/test_overhead.py``
-    depends on it.  ``obs.span(...)`` guards itself and is exempt.
+    depends on it.  ``obs.span(...)`` and ``obs.emit(...)`` guard
+    themselves and are exempt.  Only :mod:`repro.obs` publishes (a batch
+    reaches the bus as the record it hands to ``obs.emit``), so
+    ``obs.publish`` / ``obs.bus().publish`` are flagged, guarded or not.
 
     Ledger emissions (``led.count`` / ``note_addressing`` /
     ``record_batch`` on a name bound from
@@ -514,7 +517,7 @@ class UnguardedObservabilityRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag obs emissions with no reachable ``enabled()`` guard."""
+        """Flag publishing, and obs emissions with no ``enabled()`` guard."""
         obs_aliases = _module_aliases(ctx.tree, "repro.obs")
         if not obs_aliases:
             return
@@ -531,6 +534,13 @@ class UnguardedObservabilityRule(Rule):
                 ledger_names,
             )
             if target is None:
+                continue
+            if target.endswith("publish"):
+                yield ctx.finding(
+                    self, node,
+                    f"{target} outside repro.obs; hand the batch record to "
+                    "obs.emit instead",
+                )
                 continue
             # a name holding obs.ledger() is None unless enabled() held,
             # so 'if led is not None:' is as strong as the guard itself

@@ -25,9 +25,10 @@ in practice well under 1%.
   distributions, and field-op counts.
   Installing also routes the :mod:`repro.gf.opcount` sink into
   :mod:`repro.gf.gf2m`; :func:`ledger` returns the installed one.
-- :func:`publish` -- forward one named event to the tracer (if
-  recording) and the bus (if installed); callers must check
-  :func:`enabled` first, like every other emission site.
+- :func:`emit` -- hand one batch record to every installed sink
+  (see "Batch records" below); self-guarded, like :func:`span`.
+- :func:`publish` -- push one named event onto the bus (if installed);
+  the bus leg of :func:`emit`, called nowhere else (lint rule D4).
 - :func:`enabled` -- True iff metrics, tracing, a bus, or a ledger is
   active; the guard every instrumentation site checks first.
 - :func:`collect` -- context manager that enables both for a block and
@@ -51,15 +52,15 @@ in practice well under 1%.
 | ``faults.scenarios{model=...}`` | counter | campaign scenario runs, labeled by fault model |
 | ``faults.lost`` | counter | quorum losses observed across campaign scenarios |
 | ``faults.violations`` | counter | semantic violations below the q/2 threshold (should stay 0) |
-| ``watch.batches`` / ``watch.requests`` | counter | protocol batches / requests seen by the live watchdog |
-| ``watch.lost`` / ``watch.degraded`` | counter | lost / degraded variables reported in health events |
+| ``watch.batches`` / ``watch.requests`` | counter | read/write protocol batches / requests seen by the live watchdog |
+| ``watch.lost`` / ``watch.degraded`` | counter | lost / degraded variables of those batches |
 | ``watch.round`` | gauge | latest logical round observed by the watchdog |
 | ``watch.quorum_margin`` | gauge | live copies beyond the majority for the worst variable class |
 | ``watch.load_skew`` | histogram | per-batch max-congestion skew vs a balanced load (x100) |
 | ``watch.iterations`` | histogram | per-batch protocol iteration totals |
 | ``watch.checker_lag`` | gauge | rounds buffered but not yet retired by the streaming checker |
 | ``watch.state_size`` | gauge | high-watermark of the streaming checker's retained state |
-| ``watch.events_dropped`` | gauge | bus events dropped at the watchdog's bounded queue |
+| ``watch.events_dropped`` | gauge | batch records dropped at the watchdog's bounded queue |
 | ``watch.violations`` | counter | consistency violations flagged online |
 
 Every metric is a count; performance seconds come from the repo
@@ -90,16 +91,22 @@ JSONL, one object per line; every record has ``type`` ("span"/"event"),
 | ``faults.scenario`` | span | ``q, model, intensity`` |
 | ``mem.op`` | event | ``op, var, value, round, proc, phase, lost`` (one per request; consumed by :mod:`repro.conformance`) |
 | ``kv.op`` | event | ``op, key, value, round`` (one per key of a kvstore batch) |
+| ``ledger.batch`` | event | ``op, requests, copies, majority, modules, rounds, phi, retries, congestion_p50, congestion_p95, congestion_max`` (one per protocol batch while a ledger is installed) |
 
-``mem.op`` / ``kv.op`` also go to the installed event bus (same
-fields, bus-assigned ``seq``).  Two events are **bus-only** -- they feed
-the live watchdog without perturbing recorded traces:
+### Batch records
+
+A batch reports once, as one record handed to :func:`emit`: a
+:class:`~repro.obs.record.BatchRecord` per protocol batch, a
+:class:`~repro.obs.record.KvRecord` per kvstore batch operation.  The
+tracer expands it into the ``mem.op`` / ``kv.op`` rows above (then
+``ledger.batch`` while a ledger is installed), the ledger and the
+``protocol.*`` / ``kvstore.ops`` metrics count it, and the bus carries
+the record itself -- the bus's only two event kinds, never traced:
 
 | name | fields |
 |---|---|
-| ``protocol.health`` | ``op, round, requests, copies, majority, modules, iterations, served, max_congestion, load_skew, lost, degraded, quorum_margin`` (one per read/write batch) |
-| ``scheme.topology`` | ``q, n, N, M, copies, majority`` (one per scheme build) |
-| ``ledger.batch`` | ``op, requests, copies, majority, modules, rounds, phi, retries, congestion_p50, congestion_p95, congestion_max`` (one per batch while a ledger is installed) |
+| ``protocol.batch`` | ``record`` (a :class:`~repro.obs.record.BatchRecord`) |
+| ``kv.batch`` | ``record`` (a :class:`~repro.obs.record.KvRecord`) |
 
 ### Overhead guarantees
 
@@ -139,6 +146,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.obs.ledger import Ledger
+from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -164,6 +172,8 @@ __all__ = [
     "EventBus",
     "Subscription",
     "Ledger",
+    "BatchRecord",
+    "KvRecord",
     "traced",
     "read_jsonl",
     "metrics",
@@ -177,6 +187,7 @@ __all__ = [
     "ledger",
     "set_ledger",
     "publish",
+    "emit",
     "enabled",
     "collect",
     "span",
@@ -216,9 +227,17 @@ def enable_metrics() -> MetricsRegistry:
 
 def disable_metrics() -> None:
     """Turn metrics collection off (the registry keeps its contents)."""
-    global _metrics_on, _active
+    global _metrics_on
     _metrics_on = False
-    _active = _tracer.enabled or _bus is not None or _ledger is not None
+    _refresh()
+
+
+def _refresh() -> None:
+    global _active
+    _active = (
+        _metrics_on or _tracer.enabled or _bus is not None
+        or _ledger is not None
+    )
 
 
 def tracer() -> NullTracer | RecordingTracer:
@@ -229,13 +248,10 @@ def tracer() -> NullTracer | RecordingTracer:
 def set_tracer(t: RecordingTracer | None) -> NullTracer | RecordingTracer:
     """Install a tracer (``None`` restores the no-op default); returns
     the previously installed one so callers can restore it."""
-    global _tracer, _active
+    global _tracer
     prev = _tracer
     _tracer = _NULL_TRACER if t is None else t
-    _active = (
-        _metrics_on or _tracer.enabled or _bus is not None
-        or _ledger is not None
-    )
+    _refresh()
     return prev
 
 
@@ -247,13 +263,10 @@ def bus() -> EventBus | None:
 def set_bus(b: EventBus | None) -> EventBus | None:
     """Install an event bus (``None`` removes it); returns the previous
     one so callers can restore it."""
-    global _bus, _active
+    global _bus
     prev = _bus
     _bus = b
-    _active = (
-        _metrics_on or _tracer.enabled or _bus is not None
-        or _ledger is not None
-    )
+    _refresh()
     return prev
 
 
@@ -269,28 +282,52 @@ def set_ledger(led: Ledger | None) -> Ledger | None:
     Installing wires the GF(2^m) op sink into :mod:`repro.gf.gf2m` and
     flips :func:`enabled`; removing restores the prior sink, so the
     disabled path goes back to one guard per site."""
-    global _ledger, _active
+    global _ledger
     prev = _ledger
     if prev is not None and prev is not led:
         prev.on_uninstall()
     if led is not None and led is not prev:
         led.on_install()
     _ledger = led
-    _active = (
-        _metrics_on or _tracer.enabled or _bus is not None
-        or _ledger is not None
-    )
+    _refresh()
     return prev
 
 
 def publish(name: str, **fields: object) -> None:
-    """Emit one named event to the tracer (if recording) and the bus
-    (if installed).  Callers must check :func:`enabled` first -- this is
-    the streaming sibling of :func:`on_mpc_step`."""
-    if _tracer.enabled:
-        _tracer.event(name, **fields)
+    """Push one named event onto the installed bus (no-op without one):
+    the bus leg of :func:`emit`, one call per batch."""
     if _bus is not None:
         _bus.publish(name, fields)
+
+
+def emit(rec: BatchRecord | KvRecord) -> None:
+    """Hand one batch record to every installed sink; a no-op while
+    :func:`enabled` is False, like :func:`span`."""
+    if not _active:
+        return
+    protocol = isinstance(rec, BatchRecord)
+    led = _ledger if protocol else None
+    if _tracer.enabled:
+        for fields in rec.op_events():
+            _tracer.event(rec.OP_EVENT, **fields)
+        if led is not None:
+            _tracer.event("ledger.batch", **rec.ledger_fields())
+    if _metrics_on:
+        m = _REGISTRY
+        if protocol:
+            m.counter("protocol.accesses", op=rec.op).inc()
+            m.counter("protocol.iterations").inc(rec.rounds)
+            hist = m.histogram("protocol.phase_iterations")
+            for p in rec.phases:
+                hist.observe(p.iterations)
+            if rec.n_lost:
+                m.counter("protocol.lost_variables").inc(rec.n_lost)
+        else:
+            m.counter("kvstore.ops", op=rec.op).inc()
+    if led is not None:
+        led.record_batch(rec)
+    if _bus is not None:
+        publish(rec.EVENT, record=rec)
 
 
 def enabled() -> bool:

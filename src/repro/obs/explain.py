@@ -20,9 +20,10 @@ scheme (the six of :data:`repro.conformance.streaming.SCHEME_KEYS`) it
    paper's point -- so the baseline is the honest canary target;
 4. renders everything to ``benchmarks/results/explain_report.md``.
 
-Every measured run executes with a bus installed, so the protocol's
-``ledger.batch`` events stream to the same :class:`HealthAggregator`
-the live watchdog uses; the report records how many arrived.
+Every measured run executes with a bus installed, so each protocol
+batch's :class:`~repro.obs.record.BatchRecord` reaches the bus the live
+watchdog reads; the report records how many arrived, next to the p95
+of the check runs' congestion p95s.
 
 The report holds counts only (rounds, ``Phi``, retries, field ops,
 congestion quantiles), so it is byte-identical for a given seed; wall
@@ -47,8 +48,9 @@ from repro.core.bounds import (
     RunContext,
 )
 from repro.obs.ledger import Ledger
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.stream import EventBus, HealthAggregator
+from repro.obs.metrics import _QuantileSketch
+from repro.obs.record import BatchRecord
+from repro.obs.stream import EventBus
 
 __all__ = [
     "RunMeasurement",
@@ -95,7 +97,6 @@ class RunMeasurement:
     ctx: RunContext
     quantities: dict[str, float]
     congestion: dict[str, float]
-    counters: dict[str, int]
     gf_ops: dict[str, int]
     batch_events: int
 
@@ -191,7 +192,6 @@ def _measure_run(
             "p95": float(cong["p95"] or 0.0),
             "max": float(cong["max"] or 0.0),
         },
-        counters=dict(led.counters),
         gf_ops=led.gf.as_dict(),
         batch_events=events,
     )
@@ -231,8 +231,7 @@ def run_explain(
 
     registry = BoundRegistry()
     bus = EventBus()
-    sub = bus.subscribe({"ledger.batch"})
-    watch = HealthAggregator(MetricsRegistry())
+    sub = bus.subscribe({BatchRecord.EVENT})
     prev_bus = _obs.set_bus(bus)
 
     bus_events = 0
@@ -290,30 +289,17 @@ def run_explain(
         v.quantity == "congestion_p95" for v in attack.violations
     )
 
-    # feed the drained events' aggregate through the watchdog consumer
-    # path once, so the live-telemetry wiring is exercised end to end
+    p95s = _QuantileSketch()  # nearest rank over the check runs' p95s
     for rep in reports:
         for row in rep.checks:
-            ev = dict(row.measurement.quantities)
-            watch.consume(
-                {
-                    "name": "ledger.batch",
-                    "rounds": int(ev["rounds"]),
-                    "requests": row.measurement.ctx.n_prime,
-                    "retries": row.measurement.counters.get(
-                        "protocol.retries", 0
-                    ),
-                    "congestion_p95": ev["congestion_p95"],
-                }
-            )
-    snap = watch.registry.histogram("watch.congestion_p95").snapshot()
+            p95s.observe(row.measurement.quantities["congestion_p95"])
     return ExplainResult(
         schemes=reports,
         attack=attack,
         attack_flagged=attack_flagged,
         slack=slack,
         bus_events=bus_events,
-        watch_congestion_p95=snap.get("p95"),
+        watch_congestion_p95=p95s.quantile(0.95),
     )
 
 
@@ -407,7 +393,7 @@ def render_markdown(result: ExplainResult) -> str:
     w("## Live telemetry")
     w("")
     w(
-        f"- `ledger.batch` bus events observed: {result.bus_events}"
+        f"- `{BatchRecord.EVENT}` bus events observed: {result.bus_events}"
     )
     if result.watch_congestion_p95 is not None:
         w(

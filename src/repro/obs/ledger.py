@@ -24,9 +24,8 @@ Instrumentation sites follow the switchboard contract: they check
 returned a non-``None`` object -- a ledger can only be reached while
 installed, and installing one flips ``enabled()``), so the disabled
 path stays within the <5% budget of ``tests/obs/test_overhead.py``.
-The ledger itself never publishes: the protocol emits the bus-facing
-``ledger.batch`` event from the fields of each :class:`BatchRecord`,
-keeping this module import-light (no :mod:`repro.obs` dependency).
+Batches arrive as :class:`~repro.obs.record.BatchRecord` s from
+:func:`repro.obs.emit`; the ledger never publishes.
 
 The checking side lives in :mod:`repro.core.bounds`
 (:class:`~repro.core.bounds.BoundRegistry`) and the driver/renderer in
@@ -35,41 +34,12 @@ The checking side lives in :mod:`repro.core.bounds`
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.gf.gf2m import set_op_sink
 from repro.gf.opcount import GFOpSink
 from repro.obs.metrics import _QuantileSketch
+from repro.obs.record import BatchRecord
 
-__all__ = ["BatchRecord", "Ledger"]
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    """Bound quantities of one protocol access batch.
-
-    ``rounds`` is the total iteration count across the batch's phases
-    (the MPC time spent in the iteration loops), ``phi`` the paper's
-    per-phase worst case, ``retries`` the requests re-issued because a
-    congested module turned them away (``stats.requests - served``).
-    Congestion quantiles summarize the *per-step* distribution.
-    """
-
-    op: str
-    requests: int
-    copies: int
-    majority: int
-    modules: int
-    rounds: int
-    phi: int
-    retries: int
-    congestion_p50: float
-    congestion_p95: float
-    congestion_max: int
-
-    def event_fields(self) -> dict[str, object]:
-        """The ``ledger.batch`` bus event payload: every field, in order."""
-        return asdict(self)
+__all__ = ["Ledger"]
 
 
 class Ledger:
@@ -121,45 +91,15 @@ class Ledger:
         self.addressing_ops.dlog += cur["dlog"] - gf_before["dlog"]
         self.addressing_ops.exp += cur["exp"] - gf_before["exp"]
 
-    def record_batch(
-        self,
-        *,
-        op: str,
-        requests: int,
-        copies: int,
-        majority: int,
-        modules: int,
-        rounds: int,
-        phi: int,
-        stats: object,
-    ) -> BatchRecord:
-        """Close out one protocol batch; returns its :class:`BatchRecord`.
-
-        ``stats`` is the batch's :class:`~repro.mpc.stats.MPCStats`; its
-        congestion sketch is pooled into the run-wide distribution.
-        """
-        retries = int(stats.requests) - int(stats.served)
+    def record_batch(self, rec: BatchRecord) -> None:
+        """Close out one protocol batch: tally its bound quantities and
+        pool its congestion sketch into the run-wide distribution."""
         self.count("protocol.batches")
-        self.count("protocol.rounds", rounds)
-        self.count("protocol.retries", retries)
-        self.count("protocol.quorum_copies", majority)
-        self.congestion.merge(stats.congestion)
-        summ = stats.congestion_summary()
-        rec = BatchRecord(
-            op=op,
-            requests=int(requests),
-            copies=int(copies),
-            majority=int(majority),
-            modules=int(modules),
-            rounds=int(rounds),
-            phi=int(phi),
-            retries=retries,
-            congestion_p50=float(summ["p50"] or 0.0),
-            congestion_p95=float(summ["p95"] or 0.0),
-            congestion_max=int(summ["max"]),
-        )
+        self.count("protocol.rounds", rec.rounds)
+        self.count("protocol.retries", rec.retries)
+        self.count("protocol.quorum_copies", rec.majority)
+        self.congestion.merge(rec.stats.congestion)
         self.batches.append(rec)
-        return rec
 
     # -- totals ---------------------------------------------------------
 
@@ -178,7 +118,7 @@ class Ledger:
             "gf_ops": self.gf.as_dict(),
             "addressing_ops": self.addressing_ops.as_dict(),
             "congestion": self.congestion_summary(),
-            "batches": [rec.event_fields() for rec in self.batches],
+            "batches": [rec.ledger_fields() for rec in self.batches],
         }
 
     def reset(self) -> None:

@@ -3,10 +3,10 @@
 The tracer (:mod:`repro.obs.trace`) records *everything, for later*;
 the bus delivers events *now, to whoever is listening* -- the live
 watchdog (:mod:`repro.conformance.streaming`), health aggregators, or a
-test harness.  Publication goes through :func:`repro.obs.publish`,
-which forwards each event to the installed tracer (if recording) and to
-the installed bus (if any), so one instrumentation site feeds both the
-post-hoc and the online consumers.
+test harness.  It carries one event per batch: :func:`repro.obs.emit`
+publishes each batch record (``protocol.batch`` / ``kv.batch``, field
+``record``) while the tracer expands the same record into per-request
+events, so one emission site feeds the post-hoc and online consumers.
 
 Backpressure contract
 ---------------------
@@ -24,8 +24,9 @@ usual single-guard cost.
 
 Events are plain dicts.  The bus stamps each with a monotonic ``seq``
 (its own arbitration order, mirroring the tracer's) and the event
-``name``; one dict is shared by all matching subscriptions, so
-consumers must treat events as read-only.
+``name``; one dict (and the immutable record it carries) is shared by
+all matching subscriptions, so consumers must treat events as
+read-only.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.record import BatchRecord
 
 __all__ = ["Subscription", "EventBus", "HealthAggregator"]
 
@@ -162,22 +164,12 @@ class EventBus:
 
 
 class HealthAggregator:
-    """Fold ``protocol.health`` / ``scheme.topology`` events into
-    rolling ``watch.*`` metrics.
-
-    The protocol publishes one ``protocol.health`` event per batch (see
-    :mod:`repro.obs`); this consumer maintains the live gauges the
-    watchdog snapshots: batch/request/lost/degraded counters, the
-    current round, the minimum quorum margin seen (how close any
-    variable class came to losing its majority), and load-skew /
-    iteration histograms whose snapshots carry p50/p95/p99.
-
-    Also folds the ledger's ``ledger.batch`` events (published by the
-    protocol whenever a bound-accounting ledger is installed, see
-    :mod:`repro.obs.ledger`) into ``watch.ledger_*`` counters and a
-    ``watch.congestion_p95`` histogram, so a live watchdog sees the
-    congestion distribution the bound registry checks offline.
-    """
+    """Fold read/write protocol batch records into the live ``watch.*``
+    metrics: batch/request/lost/degraded counters, the round, the quorum
+    margin (the worst variable's live copies beyond the majority; 0 =
+    one more failure loses data) and its minimum, and p50/p95/p99
+    histograms of the iterations and the load skew ``100 x
+    max_congestion / (served / (modules x steps))`` (100 = balanced)."""
 
     def __init__(self, registry: "MetricsRegistry"):
         self.registry = registry
@@ -187,57 +179,37 @@ class HealthAggregator:
         self.min_quorum_margin: int | None = None
         self.last_round = 0
 
-    def consume(self, event: dict) -> None:
-        """Fold one bus event (non-health events are ignored)."""
-        name = event.get("name")
-        if name == "scheme.topology":
-            m = self.registry
-            m.gauge("watch.copies").set(int(event.get("copies", 0)))
-            m.gauge("watch.majority").set(int(event.get("majority", 0)))
-            return
-        if name == "ledger.batch":
-            m = self.registry
-            m.counter("watch.ledger_batches").inc()
-            m.counter("watch.ledger_rounds").inc(int(event.get("rounds", 0)))
-            m.counter("watch.ledger_retries").inc(
-                int(event.get("retries", 0))
-            )
-            p95 = event.get("congestion_p95")
-            if p95 is not None:
-                m.histogram("watch.congestion_p95").observe(float(p95))
-            return
-        if name != "protocol.health":
+    def consume(self, rec: "BatchRecord") -> None:
+        """Fold one protocol batch record."""
+        if rec.op == "count":
             return
         m = self.registry
+        report, st = rec.fault_report, rec.stats
+        lost = rec.n_lost
+        degraded = 0 if report is None else report.n_degraded
+        worst = 0  # dead copies of the worst variable (none if empty)
+        if report is not None and report.dead_copies.size:
+            worst = int(report.dead_copies.max())
+        margin = rec.copies - worst - rec.majority
+        skew = (
+            int(round(100 * st.max_congestion * rec.modules * st.steps
+                      / st.served))
+            if st.served else 0
+        )
         self.batches += 1
-        self.last_round = int(event.get("round", self.last_round))
-        lost = int(event.get("lost", 0))
-        degraded = int(event.get("degraded", 0))
+        self.last_round = rec.time
         self.lost += lost
         self.degraded += degraded
+        if self.min_quorum_margin is None or margin < self.min_quorum_margin:
+            self.min_quorum_margin = margin
         m.counter("watch.batches").inc()
-        m.counter("watch.requests").inc(int(event.get("requests", 0)))
+        m.counter("watch.requests").inc(rec.requests)
         m.counter("watch.lost").inc(lost)
         m.counter("watch.degraded").inc(degraded)
         m.gauge("watch.round").set(self.last_round)
-        margin = event.get("quorum_margin")
-        if margin is not None:
-            margin = int(margin)
-            if (
-                self.min_quorum_margin is None
-                or margin < self.min_quorum_margin
-            ):
-                self.min_quorum_margin = margin
-            # gauges merge as high-watermarks, so track the *deficit*
-            # (majority - margin shortfall) high-watermark alongside the
-            # raw latest value
-            m.gauge("watch.quorum_margin").set(margin)
-        skew = event.get("load_skew")
-        if skew is not None:
-            m.histogram("watch.load_skew").observe(int(skew))
-        iters = event.get("iterations")
-        if iters is not None:
-            m.histogram("watch.iterations").observe(int(iters))
+        m.gauge("watch.quorum_margin").set(margin)
+        m.histogram("watch.load_skew").observe(skew)
+        m.histogram("watch.iterations").observe(rec.rounds)
 
     def __repr__(self) -> str:
         return (

@@ -93,16 +93,8 @@ class ServiceConfig:
     window: int = 8
     #: listed-violation cap (detection keeps counting past it)
     max_violations: int = 100
-    #: watchdog subscription capacity (None = sized from round_capacity)
-    bus_capacity: int | None = None
     #: health-snapshot cadence in service rounds (0 = never)
     snapshot_every: int = 8
-
-    def resolve_bus_capacity(self) -> int:
-        """Queue depth that cannot overflow between per-batch polls."""
-        if self.bus_capacity is not None:
-            return self.bus_capacity
-        return 4 * self.round_capacity + 4096
 
 
 @dataclass
@@ -245,7 +237,6 @@ class ServiceCore:
                 self._bus,
                 window=self.config.window,
                 max_violations=self.config.max_violations,
-                queue_capacity=self.config.resolve_bus_capacity(),
             )
         self._open = True
         return self
@@ -256,8 +247,7 @@ class ServiceCore:
             return
         self._open = False
         if self.watchdog is not None:
-            self.watchdog.poll()
-            self.watchdog.finish()
+            self.watchdog.finish()  # drains the bus first
             self.watchdog.detach()
         if self.config.watchdog:
             _obs.set_bus(self._prev_bus)
@@ -391,10 +381,6 @@ class ServiceCore:
 
     # -- the round loop ----------------------------------------------------
 
-    def _poll(self) -> None:
-        if self.watchdog is not None:
-            self.watchdog.poll()
-
     def run_round(self) -> RoundResult | None:
         """Admit one fair batch, execute it as PRAM rounds, complete it.
 
@@ -438,7 +424,6 @@ class ServiceCore:
                     result[g] = self.store.shard_get(s, uk, engine=engine)[inv]
                 except QuorumLostError:
                     status[g] = STATUS_LOST
-                self._poll()
             # puts: combine same-key writes to one winner (largest
             # value, then lowest session id -- the arbitration rule)
             p = in_s & (a_op == OP_PUT)
@@ -459,7 +444,6 @@ class ServiceCore:
                     )
                 except QuorumLostError:
                     status[p] = STATUS_LOST
-                self._poll()
             # deletes come last (a put+delete round ends deleted)
             d = in_s & (a_op == OP_DELETE)
             if d.any():
@@ -469,7 +453,6 @@ class ServiceCore:
                     result[d] = 1
                 except QuorumLostError:
                     status[d] = STATUS_LOST
-                self._poll()
         lat = np.maximum(self.clock() - a_stamp, 0.0)
         np.add.at(self._outstanding, a_sess, -1)
         self._lat_chunks.append(lat.astype(np.float64))

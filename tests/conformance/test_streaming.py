@@ -8,6 +8,7 @@ it must flag the q/2+1 stale-majority attack while the run is still
 going.
 """
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -22,8 +23,10 @@ from repro.conformance.streaming import (
     stream_fuzz,
 )
 from repro.faults.attacks import build_stale_majority, payload_values
+from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.stream import EventBus
 from repro.workloads.generators import op_batches
+from tests.obs.test_stream import batch_record
 
 
 @pytest.fixture(autouse=True)
@@ -96,16 +99,6 @@ class TestStreamingChecker:
         rep = sc.finish()
         assert not rep.ok
         assert rep.violations[0].kind == "kv-stale-get"
-
-    def test_feed_event_routes_and_ignores_others(self):
-        sc = StreamingChecker()
-        sc.feed_event(
-            {"name": "mem.op", "op": "write", "var": 1, "value": 2,
-             "round": 1, "proc": 0, "phase": 0, "lost": False, "seq": 1}
-        )
-        sc.feed_event({"name": "protocol.health", "round": 1})
-        assert sc.events_fed == 1
-        assert sc.finish().ok
 
     def test_state_retired_behind_window(self):
         # 500 rewrites of one variable: past-value history older than
@@ -267,14 +260,32 @@ class TestWatchdog:
         assert snap["watch.violations"]["value"] == dog.violations_seen
         assert snap["watch.batches"]["value"] > 0
 
+    def test_poll_expands_records_with_running_seq(self):
+        bus = EventBus()
+        dog = Watchdog(bus)
+        fed = []
+        dog.checker.feed_mem = fed.append
+        dog.checker.feed_kv = fed.append
+        bus.publish(BatchRecord.EVENT, {"record": batch_record(requests=3)})
+        bus.publish(KvRecord.EVENT, {"record": KvRecord(
+            op="put", keys=("a", 7), values=np.array([5, 6]), time=2,
+        )})
+        bus.publish(BatchRecord.EVENT, {"record": batch_record(op="count")})
+        bus.publish("other.event", {"record": None})  # not subscribed
+        assert dog.poll() == 3
+        assert [o.seq for o in fed] == [1, 2, 3, 4, 5]
+        assert [type(o) for o in fed] == [MemOp] * 3 + [KvOp] * 2
+        assert [o.proc for o in fed[:3]] == [0, 1, 2]
+        assert fed[4] == KvOp(op="put", key="7", value=6, round=2, seq=5)
+        assert dog.health.batches == 1  # the count batch moves no memory
+
     def test_bounded_queue_drops_are_visible(self):
         bus = EventBus()
         dog = Watchdog(bus, queue_capacity=4)
-        for i in range(10):
-            bus.publish("mem.op", {
-                "op": "write", "var": i, "value": 1, "round": 1,
-                "proc": 0, "phase": 0, "lost": False,
-            })
+        for t in range(1, 11):
+            bus.publish(
+                BatchRecord.EVENT, {"record": batch_record(time=t)}
+            )
         dog.poll()
         assert dog.subscription.dropped == 6
         snap = dog.registry.snapshot()
@@ -284,18 +295,16 @@ class TestWatchdog:
         bus = EventBus()
         dog = Watchdog(bus)
         dog.detach()
-        bus.publish("protocol.health", {"round": 1})
+        bus.publish(BatchRecord.EVENT, {"record": batch_record()})
         assert dog.poll() == 0
         assert bus.n_subscriptions == 0
 
     def test_snapshot_reflects_health(self):
         bus = EventBus()
         dog = Watchdog(bus)
-        bus.publish("protocol.health", {
-            "op": "write", "round": 6, "requests": 12, "lost": 1,
-            "degraded": 2, "quorum_margin": 0, "iterations": 3,
-            "load_skew": 100,
-        })
+        bus.publish(BatchRecord.EVENT, {"record": batch_record(
+            time=6, requests=12, lost=1, degraded=2, worst_dead=1,
+        )})
         dog.poll()
         snap = dog.snapshot()
         assert snap.round == 6

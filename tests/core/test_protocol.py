@@ -46,6 +46,44 @@ class TestValidation:
                 values=np.array([1 << 33]),
             )
 
+    def test_bad_var_ids_shape_rejected_before_any_write(self):
+        # checked with the other arguments, observability off: a
+        # mis-shaped var_ids must not reach the store
+        from repro import obs
+
+        assert not obs.enabled()
+        mods = np.arange(24, dtype=np.int64).reshape(8, 3) % 10
+        store = SharedCopyStore(10, 4)
+        with pytest.raises(ValueError, match="var_ids"):
+            run_access_protocol(
+                mods, 10, 2, op="write", store=store,
+                slots=np.zeros_like(mods), values=np.ones(8, dtype=np.int64),
+                var_ids=np.arange(3),
+            )
+        assert (store.stamps == -1).all()
+
+    def test_empty_faulty_batch_runs_under_a_bus(self):
+        # a 0-request read with a failed module behaves the same with
+        # and without a bus installed
+        from repro import obs
+        from repro.obs.stream import EventBus
+
+        empty = np.empty((0, 3), dtype=np.int64)
+        kwargs = dict(
+            op="read", slots=empty, store=SharedCopyStore(8, 4),
+            failed_modules=[0],
+        )
+        plain = run_access_protocol(empty, 8, 2, **kwargs)
+        bus = EventBus()
+        sub = bus.subscribe()
+        prev = obs.set_bus(bus)
+        try:
+            res = run_access_protocol(empty, 8, 2, **kwargs)
+        finally:
+            obs.set_bus(prev)
+        assert res.n_requests == plain.n_requests == 0
+        assert len(sub.drain()) == 1
+
 
 class TestCounting:
     def test_single_variable_one_iteration(self):

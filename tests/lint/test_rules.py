@@ -265,12 +265,13 @@ class TestD4UnguardedObs:
         src = self.OBS_IMPORT + "_obs.publish('mem.op', var=1)\n"
         assert rules_of(lint_source(src, CORE)) == ["D4"]
 
-    def test_guarded_publish_clean(self):
+    def test_guarded_publish_flagged(self):
+        # only repro.obs publishes: a guard does not make it legal
         src = self.OBS_IMPORT + (
             "if _obs.enabled():\n"
             "    _obs.publish('mem.op', var=1)\n"
         )
-        assert lint_source(src, CORE) == []
+        assert rules_of(lint_source(src, CORE)) == ["D4"]
 
     def test_unguarded_bus_chain_flagged(self):
         src = self.OBS_IMPORT + "_obs.bus().publish('x', {})\n"
@@ -284,7 +285,7 @@ class TestD4UnguardedObs:
         )
         assert rules_of(lint_source(src, CORE)) == ["D4"]
 
-    def test_bound_bus_name_guarded_clean(self):
+    def test_bound_bus_name_guarded_flagged(self):
         src = self.OBS_IMPORT + (
             "def emit():\n"
             "    if not _obs.enabled():\n"
@@ -293,17 +294,20 @@ class TestD4UnguardedObs:
             "    if b is not None:\n"
             "        b.publish('x', {})\n"
         )
+        assert rules_of(lint_source(src, CORE)) == ["D4"]
+
+    def test_emit_is_self_guarded(self):
+        src = self.OBS_IMPORT + "_obs.emit(_obs.KvRecord('get', (), v, 1))\n"
         assert lint_source(src, CORE) == []
 
     def test_dual_guard_early_return_clean(self):
-        # the mem.op/kv.op emission idiom: bail unless a tracer records
-        # or a bus listens, then publish to both through obs.publish
+        # bail unless a tracer records or a ledger listens, then emit
         src = self.OBS_IMPORT + (
             "def emit():\n"
             "    tr = _obs.tracer()\n"
-            "    if not tr.enabled and _obs.bus() is None:\n"
+            "    if not tr.enabled and _obs.ledger() is None:\n"
             "        return\n"
-            "    _obs.publish('mem.op', var=1)\n"
+            "    tr.event('mem.op', var=1)\n"
         )
         assert lint_source(src, CORE) == []
 

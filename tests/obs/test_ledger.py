@@ -119,19 +119,23 @@ class TestSchemeIntegration:
         assert led.addressing_ops.total() <= led.gf.total()
 
     def test_event_published_on_bus(self, scheme):
+        # the bus carries each batch record once, the same object the
+        # ledger keeps; no separate ledger.batch event rides the bus
         bus = EventBus()
-        sub = bus.subscribe({"ledger.batch"})
+        sub = bus.subscribe()
         obs.set_bus(bus)
-        obs.set_ledger(Ledger())
+        led = Ledger()
+        obs.set_ledger(led)
         self.run_batch(scheme, n=8)
         events = sub.drain()
-        assert len(events) == 2
+        assert [ev["name"] for ev in events] == [BatchRecord.EVENT] * 2
+        assert [ev["record"] for ev in events] == led.batches
         for ev in events:
-            assert ev["name"] == "ledger.batch"
-            assert ev["requests"] == 8
-            assert ev["rounds"] >= 1
-            assert "congestion_p95" in ev
-            assert "seconds" not in ev  # counts only on the wire
+            fields = ev["record"].ledger_fields()
+            assert fields["requests"] == 8
+            assert fields["rounds"] >= 1
+            assert "congestion_p95" in fields
+            assert "seconds" not in fields  # counts only on the wire
 
     def test_no_ledger_no_records(self, scheme):
         self.run_batch(scheme)  # must not raise, nothing installed

@@ -1,9 +1,15 @@
 """Tests for the bounded event bus and the health aggregator."""
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.protocol import PhaseTrace
+from repro.faults.report import DEGRADED, LOST, FaultReport
+from repro.mpc.memory import SharedCopyStore
+from repro.mpc.stats import MPCStats
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import BatchRecord
 from repro.obs.stream import DEFAULT_CAPACITY, EventBus, HealthAggregator, Subscription
 
 
@@ -132,21 +138,6 @@ class TestSwitchboard:
     def test_publish_without_bus_or_tracer_is_noop(self):
         obs.publish("nowhere", x=1)  # must not raise
 
-    def test_scheme_build_announces_topology(self):
-        from repro.core.scheme import PPScheme
-
-        bus = EventBus()
-        sub = bus.subscribe(names={"scheme.topology"})
-        obs.set_bus(bus)
-        try:
-            PPScheme(q=2, n=3)
-        finally:
-            obs.set_bus(None)
-        (event,) = sub.drain()
-        assert event["copies"] == 3
-        assert event["majority"] == 2
-        assert event["q"] == 2 and event["n"] == 3
-
     def test_protocol_batch_feeds_bus(self, scheme_2_3):
         bus = EventBus()
         sub = bus.subscribe()
@@ -157,32 +148,55 @@ class TestSwitchboard:
             scheme_2_3.write(idx, values=idx % 7, store=store, time=1)
         finally:
             obs.set_bus(None)
-        names = {e["name"] for e in sub.drain()}
-        assert "mem.op" in names
-        assert "protocol.health" in names
+        # one event per batch, carrying the batch record itself
+        (event,) = sub.drain()
+        assert event["name"] == BatchRecord.EVENT
+        rec = event["record"]
+        assert isinstance(rec, BatchRecord)
+        assert rec.op == "write" and rec.time == 1
+        assert np.array_equal(rec.var_ids, idx)
+        assert np.array_equal(rec.values, idx % 7)
+
+
+def batch_record(
+    op="write", time=1, requests=10, iterations=3, lost=0, degraded=0,
+    worst_dead=0, load_skew=100,
+):
+    """A protocol batch record with the given health readings (one
+    module, one step, 100 served, so ``load_skew`` is the max
+    congestion)."""
+    report = None
+    lost_col = None
+    if lost or degraded or worst_dead:
+        outcomes = np.zeros(requests, dtype=np.int8)
+        outcomes[lost:lost + degraded] = DEGRADED
+        outcomes[:lost] = LOST
+        dead = np.zeros(requests, dtype=np.int64)
+        dead[:1] = worst_dead
+        report = FaultReport(
+            outcomes=outcomes, dead_copies=dead,
+            grey_copies=np.zeros(requests, dtype=np.int64),
+            satisfied_at=np.ones(requests, dtype=np.int64),
+        )
+        lost_col = outcomes == LOST
+    return BatchRecord(
+        op=op, time=time, copies=3, majority=2, modules=1,
+        var_ids=np.arange(requests, dtype=np.int64),
+        values=None if op == "count" else np.ones(requests, dtype=np.int64),
+        lost=lost_col, phases=[PhaseTrace(iterations=iterations)],
+        stats=MPCStats(
+            steps=1, requests=100, served=100, max_congestion=load_skew
+        ),
+        fault_report=report,
+    )
 
 
 class TestHealthAggregator:
-    def _health(self, **kw):
-        event = {
-            "name": "protocol.health",
-            "op": "write",
-            "round": 1,
-            "requests": 10,
-            "iterations": 3,
-            "load_skew": 120,
-            "lost": 0,
-            "degraded": 0,
-            "quorum_margin": 1,
-        }
-        event.update(kw)
-        return event
-
     def test_counters_and_round_gauge(self):
         reg = MetricsRegistry()
         agg = HealthAggregator(reg)
-        agg.consume(self._health(round=4, requests=10))
-        agg.consume(self._health(round=5, requests=6, lost=2, degraded=3))
+        agg.consume(batch_record(time=4, requests=10))
+        agg.consume(batch_record(time=5, requests=6, lost=2, degraded=3))
         snap = reg.snapshot()
         assert snap["watch.batches"]["value"] == 2
         assert snap["watch.requests"]["value"] == 16
@@ -193,25 +207,36 @@ class TestHealthAggregator:
 
     def test_min_quorum_margin_tracks_minimum(self):
         agg = HealthAggregator(MetricsRegistry())
-        agg.consume(self._health(quorum_margin=2))
-        agg.consume(self._health(quorum_margin=0))
-        agg.consume(self._health(quorum_margin=1))
+        agg.consume(batch_record())  # healthy: copies - majority = 1
+        agg.consume(batch_record(worst_dead=1))
+        agg.consume(batch_record())
         assert agg.min_quorum_margin == 0
 
-    def test_topology_event_sets_gauges(self):
-        reg = MetricsRegistry()
-        agg = HealthAggregator(reg)
-        agg.consume(
-            {"name": "scheme.topology", "copies": 3, "majority": 2}
+    def test_empty_faulty_batch_has_healthy_margin(self):
+        # a 0-request read with a failed module: no variable is at risk
+        from repro.core.protocol import run_access_protocol
+
+        bus = EventBus()
+        sub = bus.subscribe()
+        obs.set_bus(bus)
+        store = SharedCopyStore(8, 4)
+        run_access_protocol(
+            np.empty((0, 3), dtype=np.int64), 8, 2, op="read",
+            slots=np.empty((0, 3), dtype=np.int64), store=store,
+            failed_modules=[0],
         )
-        snap = reg.snapshot()
-        assert snap["watch.copies"]["value"] == 3
-        assert snap["watch.majority"]["value"] == 2
+        obs.set_bus(None)
+        (event,) = sub.drain()
+        agg = HealthAggregator(MetricsRegistry())
+        agg.consume(event["record"])
+        assert agg.min_quorum_margin == 1
+        assert agg.batches == 1 and agg.lost == 0
 
     def test_unrelated_events_ignored(self):
+        # count batches move no memory: no health reading
         reg = MetricsRegistry()
         agg = HealthAggregator(reg)
-        agg.consume({"name": "mem.op", "var": 1})
+        agg.consume(batch_record(op="count"))
         assert agg.batches == 0
         assert reg.snapshot() == {}
 
@@ -219,7 +244,7 @@ class TestHealthAggregator:
         reg = MetricsRegistry()
         agg = HealthAggregator(reg)
         for i in range(1, 101):
-            agg.consume(self._health(load_skew=i, iterations=i % 7 + 1))
+            agg.consume(batch_record(load_skew=i, iterations=i % 7 + 1))
         snap = reg.snapshot()
         skew = snap["watch.load_skew"]
         assert skew["count"] == 100

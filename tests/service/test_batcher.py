@@ -285,8 +285,3 @@ class TestLifecycle:
             watch = core.stats()["watch"]
             assert watch["violations"] == 0
             assert watch["events_dropped"] == 0
-
-    def test_resolve_bus_capacity(self):
-        assert ServiceConfig(bus_capacity=77).resolve_bus_capacity() == 77
-        cfg = ServiceConfig(round_capacity=100)
-        assert cfg.resolve_bus_capacity() == 4 * 100 + 4096

@@ -4,10 +4,11 @@ A Hypothesis rule machine drives one fault-free :class:`ServiceCore`
 through interleaved session submissions and rounds, and cross-checks
 the service three independent ways:
 
-* online: the core's own streaming watchdog (mem.op + kv.op);
+* online: the core's own streaming watchdog (protocol + kv records);
 * replay: :class:`SerialOracle` dict semantics per completed round;
-* batch: every event the service bus published, re-checked offline by
-  the batch :class:`ConsistencyChecker` at teardown.
+* batch: every batch record the service bus published, expanded into
+  its operations and re-checked offline by the batch
+  :class:`ConsistencyChecker` at teardown.
 
 Any disagreement anywhere is a round-semantics bug.
 """
@@ -23,6 +24,7 @@ from hypothesis.stateful import (
 )
 
 from repro.conformance.checker import ConsistencyChecker
+from repro.conformance.recorder import KvOp, ops_from_record
 from repro.service.batcher import (
     OP_DELETE,
     OP_GET,
@@ -122,8 +124,17 @@ class ServiceMachine(RuleBasedStateMachine):
                     for k in chunk:
                         assert got[k] == self.oracle.model[k]
                 self.events.extend(self.tap.drain())
-            # offline batch re-check of the full published event stream
-            rep = ConsistencyChecker().check_events(self.events)
+            # offline batch re-check of the full published record stream
+            ops = []
+            for e in self.events:
+                ops += ops_from_record(e["record"], len(ops))
+            checker = ConsistencyChecker()
+            rep = checker.check_mem_ops(
+                [o for o in ops if not isinstance(o, KvOp)]
+            ).merge(checker.check_kv_ops(
+                [o for o in ops if isinstance(o, KvOp)]
+            ))
+            assert any(isinstance(o, KvOp) for o in ops) or not self.submitted
             assert rep.ok, [v.describe() for v in rep.violations]
             wd = self.core.watchdog
             assert wd.violations_seen == 0
