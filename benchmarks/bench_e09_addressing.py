@@ -21,7 +21,7 @@ from repro.core.graph import MemoryGraph
 
 def run_experiment():
     t = Table(
-        ["n", "N", "M", "field ops/call", "dlogs/call", "search iters/call",
+        ["n", "N", "M", "field ops/call", "dlogs/call", "S4 fix-ups/call",
          "modeled steps/call", "steps / log2 N"],
         title="E9 / Section 4 -- address computation cost vs machine size",
     )
@@ -38,7 +38,7 @@ def run_experiment():
         steps = ops.modeled_steps() / k
         log2N = np.log2(g.N)
         t.add_row([n, g.N, g.M, round(ops.field_ops / k, 1),
-                   round(ops.dlogs / k, 2), round(ops.search_iters / k, 1),
+                   round(ops.dlogs / k, 2), round(ops.fixups / k, 2),
                    round(steps, 1), round(steps / log2N, 2)])
         ratios.append(steps / log2N)
 

@@ -62,7 +62,7 @@ def test_kernel_vslots(benchmark):
     mats = s.addressing.vunrank(idx)
     mods = s.graph.vgamma_variables(mats)
     timed(benchmark, "kernels.vslots_full_n7",
-          lambda: s._vslots(mats, mods))
+          lambda: s.addressing.vslots(mats, mods))
 
 
 def test_kernel_arbitration(benchmark):

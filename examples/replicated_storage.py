@@ -70,8 +70,7 @@ def main() -> None:
     pp.write(idx, values=np.full(512, 2), store=store, time=2)
 
     # inspect the physical cells: some copies still hold the old value
-    mods = pp.placement(idx)
-    slots = pp.slots(idx, mods)
+    mods, slots = pp.placement_and_slots(idx)
     cell_vals, cell_stamps = store.read(mods, slots)
     stale = int((cell_stamps < 2).sum())
     print(

@@ -27,14 +27,17 @@ exactly the ``i`` with ``i === s - j*rho (mod sigma)``; since
 ``rho === tau (mod sigma)``, the three excluded residues are
 ``{s, s + tau, s + 2*tau}`` -- one per j, each coprime-to-tau because
 ``1 <= s < tau``.  Counting valid pairs below a threshold is then pure
-floor arithmetic, which yields the O(log N) unranking the paper's
+floor arithmetic, and since every block of sigma consecutive ``i`` holds
+exactly ``3 sigma - 12`` valid pairs the count inverts with a division
+and one bracket check, which yields the O(log N) unranking the paper's
 Theorem 8 asserts (its proof was omitted there "due to space
 limitations"; the exhaustive tests for n = 3, 5 verify completeness and
 distinctness of this realization).
 
 The module also provides the physical *slot* of a copy inside its module
 (Lemma 4): module ``u`` stores the variables ``B_u (1, p_k; 0, 1) H0``
-at slots ``k`` in P_gamma order.
+at slots ``k`` in P_gamma order, and :func:`batched_slots` reads ``k``
+off ``B_u^{-1} A g_i`` in closed form.
 """
 
 from __future__ import annotations
@@ -47,9 +50,12 @@ import repro.obs as _obs
 from repro.gf.gf2m import GF2m
 from repro.gf.subfield import BasisDecomposition, FieldEmbedding
 from repro.core.graph import MemoryGraph
-from repro.pgl.matrix import Mat, pgl2_canon, pgl2_inv, pgl2_mul, vcanon, vmul
+from repro.pgl.matrix import Mat, pgl2_canon, pgl2_mul, vcanon, vmul
 
-__all__ = ["OpCounter", "AddressLayer", "batched_slots"]
+__all__ = ["OpCounter", "Lemma4Slots", "AddressLayer", "batched_slots"]
+
+#: an int, or an int64 array operated on elementwise
+Ints = int | np.ndarray
 
 
 def batched_slots(
@@ -57,47 +63,110 @@ def batched_slots(
     mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     modules: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized Lemma-4 slot computation (the batched coset lookup).
+    """Closed-form Lemma-4 slots of a batch of variables' copies.
 
-    For each (variable matrix A, module u): the slot is the unique k
-    with ``B_u (1, p_k; 0, 1) H0 == A H0``; scan the |H0| = q^3 - q
-    right translates of ``B_u^{-1} A`` for the shape ``(1, p; 0, 1)``
-    with ``p in P_gamma``.  Shared by the O(log N) layer and the
-    enumerated fallback -- the lookup depends only on the graph, not on
-    how the matrices were unranked.
+    ``modules`` is the ``(V, q+1)`` copy-order output of
+    :meth:`~repro.core.graph.MemoryGraph.vgamma_variables`: column ``i``
+    is the module ``u`` of ``A g_i`` with ``g_0 = I`` and
+    ``g_{j+1} = (e_j, 1; 1, 0) in H0``.  Hence
+    ``P = B_u^{-1} A g_i in H_{n-1}``, i.e. ``P = (a, alpha; 0, 1)`` up
+    to a scalar, and ``B_u (1, p; 0, 1) H0 == A H0`` exactly when
+    ``(1, p; 0, 1)^{-1} P = (a, alpha - p; 0, 1) in H0``, i.e. when
+    ``p in P.b / P.d + F_q``.  ``P_gamma`` is a complement of ``F_q``, so
+    that ``p`` is unique and ``graph.slot_table`` reads its slot: one
+    matrix product, one division and one lookup per copy.  Raises if
+    some ``P`` is not in ``H_{n-1}`` (a module outside the copy column).
     """
     F = graph.F
-    V, copies = modules.shape
-    qn1 = F.order + 1
-    s = modules // qn1
-    t = modules % qn1 - 1
-    gs = F.vexp(s.reshape(-1))
-    tflat = t.reshape(-1)
-    diag = tflat < 0
-    # B_u: (gs, 0; 0, 1) when diag else (t, gs; 1, 0)
-    Ba = np.where(diag, gs, tflat)
-    Bb = np.where(diag, np.int64(0), gs)
-    Bc = np.where(diag, np.int64(0), np.int64(1))
-    Bd = np.where(diag, np.int64(1), np.int64(0))
-    # projective inverse = adjugate (char 2): (d, b; c, a)
-    Ia, Ib, Ic, Id = Bd, Bb, Bc, Ba
-    # broadcast A over its copies
-    Aa = np.repeat(mats[0], copies)
-    Ab = np.repeat(mats[1], copies)
-    Ac = np.repeat(mats[2], copies)
-    Ad = np.repeat(mats[3], copies)
-    Ca, Cb, Cc, Cd = vmul(F, (Ia, Ib, Ic, Id), (Aa, Ab, Ac, Ad))
-    slot = np.full(V * copies, -1, dtype=np.int64)
-    for h in graph.H0.elements():
-        Ta, Tb, Tc, Td = vcanon(
-            F, vmul(F, (Ca, Cb, Cc, Cd), tuple(np.int64(x) for x in h))
+    s, t = np.divmod(np.asarray(modules, dtype=np.int64), F.order + 1)
+    diag = t == 0
+    t = np.where(diag, 0, t - 1)
+    gs = F.vexp(s)
+    Aa, Ab, Ac, Ad = (np.asarray(x, dtype=np.int64)[:, None] for x in mats)
+    # B_u = (gs, 0; 0, 1) when diag else (t, gs; 1, 0).  Its projective
+    # inverse is the adjugate (d, b; c, a) in characteristic 2, so
+    # C = B_u^{-1} A is (Aa, Ab; gs Ac, gs Ad) when diag and
+    # (gs Ac, gs Ad; Aa + t Ac, Ab + t Ad) otherwise (t = 0 when diag).
+    gAc, gAd = F.vmul(gs, Ac), F.vmul(gs, Ad)
+    Ca = np.where(diag, Aa, gAc)
+    Cb = np.where(diag, Ab, gAd)
+    Cc = np.where(diag, gAc, F.vadd(Aa, F.vmul(t, Ac)))
+    Cd = np.where(diag, gAd, F.vadd(Ab, F.vmul(t, Ad)))
+    # P = C g_i: column 0 is C; column j+1 is (Ca e_j + Cb, Ca; Cc e_j + Cd, Cc)
+    e = graph._fq_embedded[None, :]
+    Pb = np.concatenate([Cb[:, :1], Ca[:, 1:]], axis=1)
+    Pc = np.concatenate(
+        [Cc[:, :1], F.vadd(F.vmul(Cc[:, 1:], e), Cd[:, 1:])], axis=1
+    )
+    Pd = np.concatenate([Cd[:, :1], Cc[:, 1:]], axis=1)
+    if np.any(Pc != 0) or np.any(Pd == 0):
+        raise ValueError(
+            "B_u^-1 A g_i is outside H_{n-1}: a module is not the copy "
+            "column's Lemma-1 module"
         )
-        pidx = graph.p_gamma_inverse[Tb]
-        mask = (Tc == 0) & (Td == 1) & (Ta == 1) & (pidx >= 0)
-        slot = np.where(mask, pidx, slot)
-    if np.any(slot < 0):
-        raise AssertionError("vectorized slot computation failed")
-    return slot.reshape(V, copies)
+    return graph.slot_table[F.vdiv(Pb, Pd)]
+
+
+class Lemma4Slots:
+    """Physical copy placement (Lemma 4) for any addressing backend.
+
+    Module ``u`` stores the variables ``B_u (1, p_k; 0, 1) H0`` at slots
+    ``k`` in P_gamma order; :func:`batched_slots` finds ``k`` in closed
+    form.  Subclasses supply ``graph``, ``unrank`` and ``vunrank``.
+    """
+
+    graph: MemoryGraph
+
+    def unrank(self, index: int) -> Mat:
+        """Canonical matrix of variable ``index`` (backend-specific)."""
+        raise NotImplementedError
+
+    def vunrank(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`unrank` as four entry arrays."""
+        raise NotImplementedError
+
+    def vslots(
+        self,
+        mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        modules: np.ndarray,
+    ) -> np.ndarray:
+        """``(V, q+1)`` slots of canonical variable matrices in their
+        copy modules (copy order, as from ``vgamma_variables``)."""
+        return batched_slots(self.graph, mats, modules)
+
+    def vlocate(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(modules, slots)``, both ``(V, q+1)``, for a batch of
+        variable indices."""
+        mats = self.vunrank(indices)
+        modules = self.graph.vgamma_variables(mats)
+        return modules, self.vslots(mats, modules)
+
+    def _place(self, A: Mat) -> tuple[np.ndarray, np.ndarray]:
+        mats = tuple(np.array([x], dtype=np.int64) for x in A)
+        modules = self.graph.vgamma_variables(mats)
+        return modules[0], self.vslots(mats, modules)[0]
+
+    def locate(self, index: int) -> list[tuple[int, int]]:
+        """Physical addresses of all ``q + 1`` copies of variable
+        ``index``: a list of ``(module, slot)`` pairs in copy order."""
+        modules, slots = self._place(self.unrank(index))
+        return list(zip(modules.tolist(), slots.tolist()))
+
+    def slot_of(self, A: Mat, module_index: int) -> int:
+        """Slot ``k`` of variable ``A H0``'s copy inside module
+        ``module_index``: the unique k with
+        ``B_u (1, p_k; 0, 1) H0 == A H0``."""
+        modules, slots = self._place(A)
+        hit = np.flatnonzero(modules == module_index)
+        if hit.size == 0:
+            raise ValueError(
+                f"variable {A} has no copy in module {module_index}"
+            )
+        return int(slots[hit[0]])
 
 
 @dataclass
@@ -114,23 +183,24 @@ class OpCounter:
     field_ops: int = 0
     int_ops: int = 0
     dlogs: int = 0
-    search_iters: int = 0
+    #: bracket checks of the S4 inversion (one count each)
+    fixups: int = 0
     calls: int = 0
     n: int = field(default=0)
 
     def modeled_steps(self) -> int:
         """Total steps in the paper's cost model (dlog == n steps)."""
         return (
-            self.field_ops + self.int_ops + self.search_iters + self.dlogs * self.n
+            self.field_ops + self.int_ops + self.fixups + self.dlogs * self.n
         )
 
     def reset(self) -> None:
         """Zero every counter (keeps ``n``)."""
         self.field_ops = self.int_ops = self.dlogs = 0
-        self.search_iters = self.calls = 0
+        self.fixups = self.calls = 0
 
 
-class AddressLayer:
+class AddressLayer(Lemma4Slots):
     """Index <-> coset bijections of Section 4 (q = 2, n odd).
 
     Parameters
@@ -181,55 +251,81 @@ class AddressLayer:
     # S4 combinatorics
     # ------------------------------------------------------------------
 
-    def _s4_residues(self, s: int) -> tuple[int, int, int]:
+    def _s4_residues(self, s: Ints) -> tuple[Ints, Ints, Ints]:
         """The three excluded residues mod sigma for parameter ``s``:
-        ``r_j = (s - j*rho) mod sigma`` -> ``(s, s + 2*tau, s + tau)``."""
+        ``r_j = (s - j*rho) mod sigma`` -> ``(s, s + 2*tau, s + tau)``.
+
+        This and the other S4 helpers are plain integer arithmetic, so
+        they work elementwise on int64 arrays as well as on ints.
+        """
         return (s, (s + 2 * self.tau) % self.sigma, (s + self.tau) % self.sigma)
 
-    def _s4_count(self, s: int, x: int) -> int:
-        """Number of valid S4 pairs ``(i, j)`` with ``1 <= i <= x``.
+    def _s4_count(self, s: Ints, x: Ints) -> Ints:
+        """Number of valid S4 pairs ``(i, j)`` with ``1 <= i <= x``
+        (``x >= 0``).
 
         Valid means ``tau !| i`` and ``i mod sigma != r_j`` for the pair's
         own ``j``; each invalid residue kills exactly one ``j`` at its
         ``i`` values, and those ``i`` are never multiples of tau, so
 
-            count(x) = 3 * (x - floor(x / tau)) - sum_j |{i <= x : i === r_j}|.
+            count(x) = 3 * (x - floor(x / tau)) - sum_j |{1 <= i <= x : i === r_j}|
+
+        where, as ``1 <= r_j < sigma``, the last term is
+        ``floor((x - r_j) / sigma) + 1`` (0 for ``x < r_j``).
         """
-        if x <= 0:
-            return 0
-        base = 3 * (x - x // self.tau)
-        excl = 0
-        for r in self._s4_residues(s):
-            if x >= r:
-                excl += (x - r) // self.sigma + 1
-        return base - excl
+        excl = sum((x - r) // self.sigma + 1 for r in self._s4_residues(s))
+        return 3 * (x - x // self.tau) - excl
+
+    def _s4_excluded_j(self, s: Ints, i: Ints) -> Ints:
+        """The ``j`` excluded at ``i`` (``i mod sigma == r_j``), or 3 when
+        all three are valid; the residues are distinct, so at most one."""
+        imod = i % self.sigma
+        return 3 - sum(
+            (imod == r) * (3 - j) for j, r in enumerate(self._s4_residues(s))
+        )
+
+    def _s4_invert(self, s: Ints, r: Ints) -> tuple[np.ndarray, Ints]:
+        """The ``r``-th (0-based) valid pair ``(i, j)`` for parameter
+        ``s``, ordered by ``i`` then ``j``, in O(1) operations.
+
+        ``sigma = 3 tau``, so every block of sigma consecutive ``i`` holds
+        three multiples of tau and each excluded residue once:
+        ``count(m sigma) = m (3 sigma - 12)``.  Within block
+        ``m = r // (3 sigma - 12)`` the ``t``-th non-multiple of tau is at
+        offset ``t + (t - 1) // (tau - 1)`` and brings three pairs, less
+        at most three exclusions in the whole block.  So with
+        ``t0 = w // 3 + 1`` (``w`` the rank within the block) the answer
+        is the ``t0``-th or the ``(t0 + 1)``-th non-multiple: one count
+        decides.  Raises unless ``count(i - 1) <= r < count(i)``.
+        """
+        sigma, tau = self.sigma, self.tau
+        m, w = divmod(r, 3 * sigma - 12)
+        t = w // 3 + 1
+        lo = m * sigma + t + (t - 1) // (tau - 1)
+        hi = m * sigma + t + 1 + t // (tau - 1)
+        i = np.where(self._s4_count(s, lo) > r, lo, hi)
+        within = r - self._s4_count(s, i - 1)
+        j_excl = self._s4_excluded_j(s, i)
+        pairs_at_i = (i % tau != 0) * (3 - (j_excl < 3))
+        if np.any((within < 0) | (within >= pairs_at_i)):
+            raise AssertionError(
+                "S4 unrank left its bracket count(i - 1) <= r < count(i)"
+            )
+        return i, within + (within >= j_excl)
 
     def _s4_unrank(self, s: int, r: int) -> tuple[int, int]:
-        """The ``r``-th (0-based) valid pair ``(i, j)`` for parameter ``s``,
-        ordered by ``i`` then ``j``.  O(log rho) binary search."""
+        """Scalar :meth:`_s4_invert` with a range check."""
         if not 0 <= r < self.c4_per_s:
             raise ValueError(f"S4 residual rank {r} out of range")
-        lo, hi = 1, self.rho - 1  # smallest i with count(i) >= r + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.ops.search_iters += 1
-            if self._s4_count(s, mid) >= r + 1:
-                hi = mid
-            else:
-                lo = mid + 1
-        i = lo
-        within = r - self._s4_count(s, i - 1)
-        res = self._s4_residues(s)
-        imod = i % self.sigma
-        valid_js = [j for j in range(3) if imod != res[j]]
-        return i, valid_js[within]
+        self.ops.fixups += 1
+        i, j = self._s4_invert(s, r)
+        return int(i), int(j)
 
     def _s4_rank(self, s: int, i: int, j: int) -> int:
-        """Inverse of :meth:`_s4_unrank`."""
-        res = self._s4_residues(s)
-        imod = i % self.sigma
-        valid_js = [jj for jj in range(3) if imod != res[jj]]
-        return self._s4_count(s, i - 1) + valid_js.index(j)
+        """Inverse of :meth:`_s4_unrank` (for a valid pair)."""
+        return int(
+            self._s4_count(s, i - 1) + j - (j > self._s4_excluded_j(s, i))
+        )
 
     def _s4_pair_valid(self, s: int, i: int, j: int) -> bool:
         """Validity of an S4 pair (range, tau, and subfield conditions)."""
@@ -419,9 +515,9 @@ class AddressLayer:
         """Vectorized :meth:`unrank`: map an int64 index array to the four
         entry arrays of canonical variable matrices.
 
-        Same O(log N) structure, executed as ~2n numpy passes for the S4
-        binary search; this is what makes protocol experiments at
-        N = 262k feasible.
+        Same O(log N) structure as a fixed number of numpy passes (the
+        S4 inversion is a division and one bracket check); this is what
+        makes protocol experiments at N = 262k feasible.
         """
         if _obs.enabled():
             led = _obs.ledger()
@@ -441,7 +537,7 @@ class AddressLayer:
             raise ValueError("variable index out of range in vunrank")
         L = self.L
         G = self.G
-        rho, sigma, tau = self.rho, self.sigma, self.tau
+        rho, sigma = self.rho, self.sigma
         qn1 = (1 << self.n) - 1
 
         e_alpha = np.zeros_like(idx)  # exponent of alpha; -1 means alpha == 1
@@ -475,40 +571,10 @@ class AddressLayer:
         e_alpha[b3] = s2_exponent(off3)
         beta_is_one[b3] = True
 
-        # S4: vector binary search
+        # S4: bracketed inversion of the pair count
         off4 = idx[b4] - self.c1 - self.c2 - self.c3
         s4 = off4 // self.c4_per_s + 1
-        r4 = off4 % self.c4_per_s
-        res0 = s4 % sigma
-        res1 = (s4 + 2 * tau) % sigma
-        res2 = (s4 + tau) % sigma
-
-        def vcount(xv: np.ndarray) -> np.ndarray:
-            base = 3 * (xv - xv // tau)
-            excl = np.zeros_like(xv)
-            for r in (res0, res1, res2):
-                excl += np.where(xv >= r, (xv - r) // sigma + 1, 0)
-            return np.where(xv <= 0, 0, base - excl)
-
-        lo = np.ones_like(off4)
-        hi = np.full_like(off4, rho - 1)
-        while np.any(lo < hi):
-            mid = (lo + hi) // 2
-            ge = vcount(mid) >= r4 + 1
-            hi = np.where(ge, mid, hi)
-            lo = np.where(ge, lo, mid + 1)
-        i4 = lo
-        within = r4 - vcount(i4 - 1)
-        imod = i4 % sigma
-        # At most one j is excluded at each i (the residues are distinct
-        # mod sigma).  The `within`-th valid j skips over the excluded one.
-        j_excl = np.full_like(off4, 3)  # 3 == "no exclusion"
-        j_excl = np.where(imod == res2, 2, j_excl)
-        j_excl = np.where(imod == res1, 1, j_excl)
-        j_excl = np.where(imod == res0, 0, j_excl)
-        j4 = within + (within >= j_excl)
-        if np.any((j4 < 0) | (j4 > 2)):
-            raise AssertionError("S4 vector unrank failed to pick a valid j")
+        i4, j4 = self._s4_invert(s4, off4 % self.c4_per_s)
         e_alpha[b4] = s4 % G
         e_beta[b4] = (i4 + j4 * rho) % G
 
@@ -607,97 +673,31 @@ class AddressLayer:
         s4 = ea % sigma
         m_s4 = (s4 >= 1) & (s4 <= self.smax)
         eb = (L.vlog(beta) + s4 - ea) % G
-        res0 = s4 % sigma
-        res1 = (s4 + 2 * tau) % sigma
-        res2 = (s4 + tau) % sigma
+        j_res = self._s4_residues(s4)
         for j in range(3):
             i_v = (eb - j * rho) % G
-            imod = i_v % sigma
-            res_j = (res0, res1, res2)[j]
             ok = (
                 m_s4
                 & (out < 0)
                 & (i_v >= 1)
                 & (i_v < rho)
                 & (i_v % tau != 0)
-                & (imod != res_j)
+                & (i_v % sigma != j_res[j])
             )
-            # rank within s: count of valid pairs with i' < i, plus the
-            # position of j among the valid js at i.
-            xm1 = i_v - 1
-            base = 3 * (xm1 - xm1 // tau)
-            excl = np.zeros_like(xm1)
-            for r in (res0, res1, res2):
-                excl += np.where(xm1 >= r, (xm1 - r) // sigma + 1, 0)
-            count_below = np.where(xm1 <= 0, 0, base - excl)
-            j_excl = np.full_like(i_v, 3)
-            j_excl = np.where(imod == res2, 2, j_excl)
-            j_excl = np.where(imod == res1, 1, j_excl)
-            j_excl = np.where(imod == res0, 0, j_excl)
-            pos = j - (j > j_excl)
+            # rank within s: valid pairs with i' < i, plus the position
+            # of j among the valid js at i
+            within_s = self._s4_count(s4, i_v - 1) + j - (
+                j > self._s4_excluded_j(s4, i_v)
+            )
             idx = (
-                self.c1
-                + self.c2
-                + self.c3
-                + (s4 - 1) * self.c4_per_s
-                + count_below
-                + pos
+                self.c1 + self.c2 + self.c3 + (s4 - 1) * self.c4_per_s + within_s
             )
             out = np.where(ok, idx, out)
         return out
 
-    # ------------------------------------------------------------------
-    # physical copy slots (Lemma 4)
-    # ------------------------------------------------------------------
-
-    def slot_of(self, A: Mat, module_index: int) -> int:
-        """Slot ``k`` of variable ``A H0``'s copy inside module
-        ``module_index``: the unique k with
-        ``B_u (1, p_k; 0, 1) H0 == A H0``.
-
-        O(1) group operations (|H0| products) plus one P_gamma lookup.
-        """
-        graph = self.graph
-        K = self.K
-        B = graph.modules.rep_of(module_index)
-        C = pgl2_mul(K, pgl2_inv(K, B), A)
-        for h in self._h0_elements:
-            a, b, c, d = pgl2_mul(K, C, h)
-            if c == 0 and d == 1 and a == 1:
-                k = int(graph.p_gamma_inverse[b])
-                if k >= 0:
-                    return k
-        raise ValueError(
-            f"variable {A} has no copy in module {module_index}"
-        )
-
-    def locate(self, index: int) -> list[tuple[int, int]]:
-        """Physical addresses of all ``q + 1`` copies of variable
-        ``index``: a list of ``(module, slot)`` pairs in copy order."""
-        A = self.unrank(index)
-        out = []
-        for mat in self.graph.copy_matrices(A):
-            u = self.graph.modules.index_of(mat)
-            out.append((u, self.slot_of(A, u)))
-        return out
-
-    def vslots(
-        self,
-        mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        modules: np.ndarray,
-    ) -> np.ndarray:
-        """Batched :meth:`slot_of` -- ``(V, q+1)`` slots for canonical
-        variable matrices against their copy modules."""
-        return batched_slots(self.graph, mats, modules)
-
-    def vlocate(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`locate`: ``(modules, slots)``, both
-        ``(V, q+1)``, for a batch of variable indices."""
-        mats = self.vunrank(indices)
-        modules = self.graph.vgamma_variables(mats)
-        return modules, self.vslots(mats, modules)
+    # bench/layers.py times the slots layer by wrapping this entry point
+    # in the class's own namespace
+    vslots = Lemma4Slots.vslots
 
     def __repr__(self) -> str:
         return (

@@ -63,6 +63,11 @@ class MemoryGraph:
     p_gamma:
         int64 array of the ``q^{n-1}`` elements of ``P_gamma`` in slot
         order (this order *is* the physical copy-slot order of Section 4).
+    slot_table:
+        int64 array of ``q^n`` entries: ``slot_table[x]`` is the slot
+        ``k`` of the unique ``p_k in P_gamma`` with ``x - p_k in F_q``
+        (``P_gamma`` is a complement of ``F_q`` in ``F_{q^n}``), which is
+        how Lemma 4 reads a slot off a field element.
     """
 
     def __init__(self, q: int, n: int):
@@ -86,9 +91,9 @@ class MemoryGraph:
         self.copies_per_variable = q + 1
         self.majority = q // 2 + 1
         self.module_degree = q ** (n - 1)
-        self._build_p_gamma()
         # Embedded F_q elements in natural small-field order 0..q-1:
         self._fq_embedded = self.embedding.table[: q].copy()
+        self._build_p_gamma()
 
     # -- P_gamma ---------------------------------------------------------
 
@@ -96,8 +101,8 @@ class MemoryGraph:
         """Enumerate P_gamma = { sum_{i=1}^{n-1} a_i gamma^i : a_i in F_q }.
 
         Slot order: index ``k`` has base-q digits (a_1, ..., a_{n-1}) with
-        a_1 least significant.  Also builds the inverse lookup
-        (element -> slot, or -1).
+        a_1 least significant.  Also builds :attr:`slot_table`, the
+        lookup from each element of ``p_k + F_q`` to ``k``.
         """
         F, q, n = self.F, self.q, self.n
         gamma_powers = [F.pow(F.generator, i) for i in range(1, n)]
@@ -112,12 +117,12 @@ class MemoryGraph:
                 if digit:
                     acc ^= F.mul(emb(digit), gamma_powers[i])
             p[idx] = acc
-        inv = np.full(F.order, -1, dtype=np.int64)
-        inv[p] = np.arange(size, dtype=np.int64)
-        if np.count_nonzero(inv >= 0) != size:
-            raise AssertionError("P_gamma elements are not distinct")
+        table = np.full(F.order, -1, dtype=np.int64)
+        table[p[:, None] ^ self._fq_embedded[None, :]] = np.arange(size)[:, None]
+        if np.any(table < 0):
+            raise AssertionError("P_gamma + F_q does not cover F_{q^n}")
         self.p_gamma = p
-        self.p_gamma_inverse = inv
+        self.slot_table = table
 
     # -- Lemma 1: modules of a variable -----------------------------------
 

@@ -22,23 +22,23 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as _obs
-from repro.core.addressing import AddressLayer, batched_slots
+from repro.core.addressing import AddressLayer, Lemma4Slots
 from repro.core.graph import MemoryGraph
 from repro.core.protocol import AccessResult, run_access_protocol
 from repro.mpc.memory import SharedCopyStore
-from repro.pgl.matrix import Mat, pgl2_mul
+from repro.pgl.matrix import Mat
 
 __all__ = ["EnumeratedAddressing", "PPScheme"]
 
 
-class EnumeratedAddressing:
+class EnumeratedAddressing(Lemma4Slots):
     """Table-based fallback indexing for parameters outside Section 4.
 
     Enumerates every variable coset once (O(q^{3n}) preprocessing,
     validation scale only) and then answers unrank/rank by array/dict
     lookup.  Interface-compatible with
     :class:`~repro.core.addressing.AddressLayer` for the methods the
-    scheme uses.
+    scheme uses, and shares its Lemma-4 slot computation.
     """
 
     def __init__(self, graph: MemoryGraph):
@@ -53,7 +53,6 @@ class EnumeratedAddressing:
         self._mats = mats
         self._index = {graph.variables.key(m): i for i, m in enumerate(mats)}
         self._arr = np.array(mats, dtype=np.int64)
-        self._h0_elements = graph.H0.elements()
 
     def unrank(self, index: int) -> Mat:
         """Canonical matrix of variable ``index`` (table lookup)."""
@@ -74,47 +73,6 @@ class EnumeratedAddressing:
                 led.count("addr.table", int(indices.size))
         rows = self._arr[indices]
         return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
-
-    def slot_of(self, A: Mat, module_index: int) -> int:
-        """Same Lemma-4 slot computation as the real layer."""
-        from repro.pgl.matrix import pgl2_inv
-
-        graph = self.graph
-        K = graph.F
-        B = graph.modules.rep_of(module_index)
-        C = pgl2_mul(K, pgl2_inv(K, B), A)
-        for h in self._h0_elements:
-            a, b, c, d = pgl2_mul(K, C, h)
-            if c == 0 and d == 1 and a == 1:
-                k = int(graph.p_gamma_inverse[b])
-                if k >= 0:
-                    return k
-        raise ValueError(f"variable {A} has no copy in module {module_index}")
-
-    def locate(self, index: int) -> list[tuple[int, int]]:
-        """Physical (module, slot) of each copy of variable ``index``."""
-        A = self.unrank(index)
-        out = []
-        for mat in self.graph.copy_matrices(A):
-            u = self.graph.modules.index_of(mat)
-            out.append((u, self.slot_of(A, u)))
-        return out
-
-    def vslots(
-        self,
-        mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        modules: np.ndarray,
-    ) -> np.ndarray:
-        """Batched Lemma-4 slots (same kernel as the real layer)."""
-        return batched_slots(self.graph, mats, modules)
-
-    def vlocate(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`locate`: ``(modules, slots)`` arrays."""
-        mats = self.vunrank(indices)
-        modules = self.graph.vgamma_variables(mats)
-        return modules, self.vslots(mats, modules)
 
 
 class PPScheme:
@@ -179,28 +137,15 @@ class PPScheme:
         variables, fully vectorized (Lemma 1 + Lemma 4)."""
         indices = np.asarray(indices, dtype=np.int64)
         if not _obs.enabled():
-            mats = self.addressing.vunrank(indices)
-            modules = self.graph.vgamma_variables(mats)
-            return modules, self._vslots(mats, modules)
+            return self.addressing.vlocate(indices)
         with self._observe_placement(indices.size, slots=True):
-            mats = self.addressing.vunrank(indices)
-            modules = self.graph.vgamma_variables(mats)
-            return modules, self._vslots(mats, modules)
+            return self.addressing.vlocate(indices)
 
     def _observe_placement(self, count: int, slots: bool):
         """Span + metrics wrapper for the address-computation paths."""
         if _obs.metrics_enabled():
             _obs.metrics().counter("address.placement_calls").inc()
         return _obs.span("address.placement", count=int(count), slots=slots)
-
-    def _vslots(
-        self,
-        mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        modules: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized Lemma-4 slot computation (delegates to the
-        addressing layer's shared batched coset lookup)."""
-        return self.addressing.vslots(mats, modules)
 
     # -- storage -----------------------------------------------------------
 

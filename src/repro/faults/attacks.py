@@ -203,8 +203,7 @@ def build_stale_majority(
         scheme = PPAdapter(2, 3)
     count = min(scheme.N, scheme.M, 48)
     idx = scheme.random_request_set(count, seed=seed)
-    modules = scheme.placement(idx)
-    slots = scheme.slots(idx, modules)
+    modules, slots = scheme.placement_and_slots(idx)
     ctx = FaultContext(scheme.N, modules, scheme.read_quorum, slots=slots)
     victims = disjoint_victims(modules, n_victims)
     return StaleMajorityAttack(

@@ -226,8 +226,7 @@ def threshold_experiment(
     sch = harness_for_q(q, seed)
     count = n_requests or min(sch.N, sch.M, 600)
     idx = sch.random_request_set(count, seed=seed)
-    modules = sch.placement(idx)
-    slots = sch.slots(idx, modules)
+    modules, slots = sch.placement_and_slots(idx)
     ctx = FaultContext(sch.N, modules, sch.read_quorum, slots=slots)
     victims = disjoint_victims(modules, n_victims)
     tol = ctx.tolerance
@@ -438,8 +437,7 @@ def run_campaign(
             sch = harness_for_q(q, seed)
             count = n_requests or min(sch.N, sch.M, 600)
             idx = sch.random_request_set(count, seed=seed)
-            modules = sch.placement(idx)
-            slots = sch.slots(idx, modules)
+            modules, slots = sch.placement_and_slots(idx)
             ctx = FaultContext(sch.N, modules, sch.read_quorum, slots=slots)
             for model in models:
                 for intensity in intensities:

@@ -329,16 +329,16 @@ class ParallelKVStore:
             np.not_equal(sorted_claims[1:], sorted_claims[:-1], out=first[1:])
             winners = idx[order[first]]
             slot[winners] = claim[winners]
-            found_w = np.zeros(0)
-            _ = found_w
             losers = np.setdiff1d(idx, winners)
-            # winners claim their slots now (fingerprint + value writes
-            # happen together below); losers re-probe against the updated
-            # table
-            self._write_vars(2 * slot[winners], fps[winners], engine=engine)
+            # winners write the value, then claim the slot with the
+            # fingerprint: a recycled slot still holds its deleted
+            # tenant's value, so a claim that committed before a lost
+            # value write would serve that value as the new key's.
+            # Losers re-probe against the updated table.
             self._write_vars(
                 2 * slot[winners] + 1, values[winners], engine=engine
             )
+            self._write_vars(2 * slot[winners], fps[winners], engine=engine)
             self.size += winners.size
             to_insert[winners] = False
             if losers.size:

@@ -61,9 +61,10 @@ class KeyedCopyStore:
 class MemoryScheme(ABC):
     """Abstract memory-organization scheme over N modules and M variables.
 
-    Subclasses define :meth:`placement` plus the quorum attributes; the
-    base class supplies protocol-driven ``access``/``read``/``write``
-    with exactly the machine model used for the paper's scheme.
+    Subclasses define :meth:`placement` plus the quorum attributes (and,
+    for dense stores, :meth:`placement_and_slots`); the base class
+    supplies protocol-driven ``access``/``read``/``write`` with exactly
+    the machine model used for the paper's scheme.
     """
 
     #: number of memory modules
@@ -84,12 +85,16 @@ class MemoryScheme(ABC):
         """``(V, r)`` module ids of the copies of each variable; entries
         in a row are distinct."""
 
-    def slots(self, indices: np.ndarray, modules: np.ndarray) -> np.ndarray:
-        """``(V, r)`` physical slots.  Default: the variable index itself
-        (valid for sparse keyed stores); dense schemes override."""
-        return np.broadcast_to(
-            np.asarray(indices, dtype=np.int64)[:, None], modules.shape
-        )
+    def placement_and_slots(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(modules, slots)``, both ``(V, r)``: where each copy lives.
+        Default: :meth:`placement`, with the variable index itself as
+        the slot (valid for sparse keyed stores); dense schemes override
+        to compute both from one address computation."""
+        indices = np.asarray(indices, dtype=np.int64)
+        modules = self.placement(indices)
+        return modules, np.broadcast_to(indices[:, None], modules.shape)
 
     def make_store(self) -> object:
         """A store suited to this scheme (sparse keyed by default)."""
@@ -143,19 +148,18 @@ class MemoryScheme(ABC):
         led = _obs.ledger() if _obs.enabled() else None
         if led is not None:
             gf0 = led.gf.as_dict()
-        modules = self.placement(indices)
-        quorum = self.quorum_for(count_as or op)
-        slots = None
-        engine_op = op
         if op in ("read", "write"):
-            slots = self.slots(indices, modules)
+            modules, slots = self.placement_and_slots(indices)
+        else:
+            modules, slots = self.placement(indices), None
+        quorum = self.quorum_for(count_as or op)
         if led is not None:
             led.note_addressing(int(indices.size), gf0)
         return run_access_protocol(
             modules,
             self.N,
             quorum,
-            op=engine_op,
+            op=op,
             slots=slots,
             store=store,
             values=values,

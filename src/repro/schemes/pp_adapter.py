@@ -35,10 +35,12 @@ class PPAdapter(MemoryScheme):
         """``(V, q+1)`` module ids via the O(log N) addressing layer."""
         return self.scheme.module_ids_for(indices)
 
-    def slots(self, indices: np.ndarray, modules: np.ndarray) -> np.ndarray:
-        """Physical Lemma-4 slots (dense layout)."""
-        mats = self.scheme.addressing.vunrank(np.asarray(indices, dtype=np.int64))
-        return self.scheme._vslots(mats, modules)
+    def placement_and_slots(
+        self, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Modules and physical Lemma-4 slots (dense layout) from one
+        unrank per variable."""
+        return self.scheme.placement_for(indices)
 
     def make_store(self) -> object:
         """Dense (N x q^{n-1}) timestamped store."""

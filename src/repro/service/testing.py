@@ -19,18 +19,13 @@ the core hands back:
   Only a *committed* (fully acknowledged) put pins the set again: its
   majority-fresh timestamps dominate every earlier latent copy of the
   value variable.  A key that may have been absent when a put was lost
-  keeps ``-1`` admissible (a torn insert can leave the key's
-  fingerprint claimed with the value cell unwritten); a lost delete
-  keeps ``-1`` admissible the same way (a torn tombstone).  This is the
+  keeps ``-1`` admissible (a torn insert can leave the value written
+  but the key's fingerprint unclaimed); a lost delete keeps ``-1``
+  admissible the same way (a torn tombstone).  An insert writes the
+  value before it claims the fingerprint, so a recycled slot never
+  serves its deleted tenant's value to the new key.  This is the
   machine-checkable form of "degraded answers are correct or declared
   lost, never silently wrong".
-
-  One documented blind spot: a *committed delete* followed by a *lost
-  insert* can recycle the key's slot and expose the pre-delete value
-  through the still-populated value cell.  The model does not track
-  previous tenants, so that (very rare) interleaving would surface as
-  a false mismatch; fault-free legs cover deletes exactly via
-  :class:`SerialOracle`.
 """
 
 from __future__ import annotations

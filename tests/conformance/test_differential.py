@@ -86,9 +86,9 @@ class _AliasingScheme(SingleCopyScheme):
     def placement(self, indices):
         return super().placement(np.asarray(indices, dtype=np.int64) // 2 * 2)
 
-    def slots(self, indices, modules):
-        return super().slots(
-            np.asarray(indices, dtype=np.int64) // 2 * 2, modules
+    def placement_and_slots(self, indices):
+        return super().placement_and_slots(
+            np.asarray(indices, dtype=np.int64) // 2 * 2
         )
 
 

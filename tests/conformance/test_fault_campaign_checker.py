@@ -28,8 +28,7 @@ from repro.schemes.pp_adapter import PPAdapter
 def setup():
     sch = PPAdapter(2, 3)
     idx = sch.random_request_set(48, seed=0)
-    modules = sch.placement(idx)
-    slots = sch.slots(idx, modules)
+    modules, slots = sch.placement_and_slots(idx)
     ctx = FaultContext(sch.N, modules, sch.read_quorum, slots=slots)
     victims = disjoint_victims(modules, 4)
     return sch, idx, modules, slots, ctx, victims

@@ -76,12 +76,12 @@ class TestMemOpCapture:
         from repro.core.protocol import run_access_protocol
 
         idx = _SCH.random_request_set(4, seed=0)
-        modules = _SCH.placement(idx)
+        modules, slots = _SCH.placement_and_slots(idx)
         with record():
             with pytest.raises(ValueError, match="var_ids"):
                 run_access_protocol(
                     modules, _SCH.N, 2, op="write",
-                    slots=_SCH.slots(idx, modules),
+                    slots=slots,
                     store=_SCH.make_store(),
                     values=np.ones(4, dtype=np.int64), time=1,
                     var_ids=np.arange(3),

@@ -186,6 +186,72 @@ class TestS4Combinatorics:
         with pytest.raises(ValueError):
             addr3._s4_unrank(1, addr3.c4_per_s)
 
+    def test_every_rank_in_its_bracket_n5(self, addr5):
+        # count(i - 1) <= r < count(i), and the pair order is the
+        # brute-force (i, j) enumeration, for every (s, r)
+        a = addr5
+        r = np.arange(a.c4_per_s, dtype=np.int64)
+        for s in range(1, a.smax + 1):
+            brute = [
+                (i, j) for i in range(1, a.rho) for j in range(3)
+                if a._s4_pair_valid(s, i, j)
+            ]
+            i, j = a._s4_invert(np.full_like(r, s), r)
+            assert list(zip(i.tolist(), j.tolist())) == brute
+            assert np.all(a._s4_count(s, i - 1) <= r)
+            assert np.all(r < a._s4_count(s, i))
+            assert [a._s4_unrank(s, int(x)) for x in r[::37]] == brute[::37]
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_sampled_ranks_in_their_bracket(self, n):
+        a = AddressLayer(MemoryGraph(2, n))
+        rng = np.random.default_rng(n)
+        x = np.arange(a.rho, dtype=np.int64)
+        for s in (1, a.smax, int(rng.integers(1, a.smax + 1))):
+            r = np.concatenate([
+                [0, a.c4_per_s - 1], rng.integers(0, a.c4_per_s, 300)
+            ]).astype(np.int64)
+            i, j = a._s4_invert(np.full_like(r, s), r)
+            # smallest i whose count exceeds r, by exhaustive search
+            want_i = np.searchsorted(a._s4_count(s, x), r, side="right")
+            np.testing.assert_array_equal(i, want_i)
+            assert np.all(a._s4_count(s, i - 1) <= r)
+            for ii, jj, rr in zip(i.tolist(), j.tolist(), r.tolist()):
+                assert a._s4_pair_valid(s, ii, jj)
+                assert a._s4_rank(s, ii, jj) == rr
+
+
+def _lemma2_slots(graph):
+    """Brute force: ``(variable key, module) -> k`` for every slot ``k``
+    of every module, enumerated as ``B_u (1, p_k; 0, 1)`` (Lemma 2)."""
+    return {
+        (graph.variables.key(mat), u): k
+        for u in range(graph.N)
+        for k, mat in enumerate(graph.gamma_module(u))
+    }
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 5), (4, 3)])
+def test_every_copy_slot_matches_lemma2_enumeration(q, n):
+    # each copy's slot k satisfies B_u (1, p_k; 0, 1) H0 == A H0, for
+    # every variable, against an enumeration that shares no code with
+    # the closed form
+    from repro.core.scheme import PPScheme
+
+    scheme = PPScheme(q, n)
+    g = scheme.graph
+    want = _lemma2_slots(g)
+    idx = np.arange(g.M, dtype=np.int64)
+    modules, slots = scheme.addressing.vlocate(idx)
+    keys = g.vkeys(scheme.addressing.vunrank(idx))
+    got = {
+        (int(key), int(u)): int(k)
+        for key, row_u, row_k in zip(keys, modules, slots)
+        for u, k in zip(row_u, row_k)
+    }
+    assert len(got) == g.M * (q + 1)
+    assert got == want
+
 
 class TestSlots:
     def test_locate_consistent_with_lemma2(self, addr3):

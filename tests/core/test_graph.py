@@ -56,7 +56,8 @@ class TestPGamma:
         g = graph_2_5
         assert np.unique(g.p_gamma).size == g.p_gamma.size
         for k, p in enumerate(g.p_gamma):
-            assert g.p_gamma_inverse[int(p)] == k
+            for c in g._fq_embedded:  # every element of p_k + F_q
+                assert g.slot_table[int(p) ^ int(c)] == k
 
     def test_zero_constant_term_q2(self, graph_2_3):
         # for q=2 the basis (1, gamma, ...) is the bit basis: low bit 0

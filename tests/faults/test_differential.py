@@ -54,10 +54,8 @@ def _assert_identical(a, b):
 @pytest.mark.parametrize("op", ["count", "read", "write"])
 def test_every_model_at_zero_intensity_is_identity(adapter, op):
     idx = adapter.random_request_set(40, seed=7)
-    ctx = FaultContext(
-        adapter.N, adapter.placement(idx), adapter.read_quorum,
-        slots=adapter.slots(idx, adapter.placement(idx)),
-    )
+    modules, slots = adapter.placement_and_slots(idx)
+    ctx = FaultContext(adapter.N, modules, adapter.read_quorum, slots=slots)
     baseline = _run(adapter, op)
     for model in default_models():
         plan = model.plan(ctx, 0.0, seed=11)

@@ -60,3 +60,37 @@ class TestQuorumLoss:
         kv.set_failed_modules(np.arange(kv.scheme.N - 1))
         with pytest.raises(QuorumLostError):
             kv.batch_put(["k"], [1])
+
+
+class TestRecycledSlot:
+    def test_lost_value_write_never_serves_the_deleted_tenants_value(self):
+        # Delete X, then insert Y into X's tombstone while every copy of
+        # the slot's value cell is down: Y's put must be declared lost,
+        # and after healing a get of Y must answer -1 (or lost), never
+        # X's value from the recycled cell.
+        sch = PPAdapter(2, 5)
+        kv = ParallelKVStore(sch, seed=0)
+        cap = kv.capacity
+        cands = list(range(20_000))
+        homes = kv._home(kv.fingerprints(cands))
+
+        def modules(slot_var):
+            return set(sch.placement(np.array([slot_var])).ravel().tolist())
+
+        for x in cands:
+            h = int(homes[x])
+            value_mods = modules(2 * h + 1)
+            probed = modules(2 * h) | modules(2 * ((h + 1) % cap))
+            ys = [y for y in cands if y != x and homes[y] == h]
+            if ys and not value_mods & probed:
+                y = ys[0]
+                break
+        else:  # pragma: no cover - the search space is ample
+            pytest.skip("no suitable key pair")
+        kv.batch_put([x], [111])
+        assert kv.batch_delete([x]) == 1
+        kv.set_failed_modules(sorted(value_mods))
+        with pytest.raises(QuorumLostError):
+            kv.batch_put([y], [222])
+        kv.set_failed_modules(None)
+        assert kv.batch_get([y])[0] == -1

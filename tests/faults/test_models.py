@@ -187,8 +187,7 @@ class TestStaleCopies:
 
         sch = PPAdapter(2, 3)
         idx = sch.random_request_set(10, seed=0)
-        mods = sch.placement(idx)
-        slots = sch.slots(idx, mods)
+        mods, slots = sch.placement_and_slots(idx)
         ctx = FaultContext(sch.N, mods, sch.read_quorum, slots=slots)
         store = sch.make_store()
         old = np.arange(10, dtype=np.int64) + 100

@@ -110,8 +110,7 @@ class FaultyStoreMachine(RuleBasedStateMachine):
         )
         copy = data.draw(st.integers(0, 2))
         idx = np.asarray([var], dtype=np.int64)
-        mods = self.sch.placement(idx)
-        slots = self.sch.slots(idx, mods)
+        mods, slots = self.sch.placement_and_slots(idx)
         old_val = self.model[var]
         old_time = self.time
         new_val = (var * 977 + salt) % (1 << 20)

@@ -74,8 +74,7 @@ class TestEqualStampValueTieBreak:
     def setup_method(self):
         self.sch = PPAdapter(2, 3)
         self.idx = np.array([11], dtype=np.int64)
-        self.modules = self.sch.placement(self.idx)
-        self.slots = self.sch.slots(self.idx, self.modules)
+        self.modules, self.slots = self.sch.placement_and_slots(self.idx)
 
     def _store_with_copies(self, values, stamp):
         store = self.sch.make_store()

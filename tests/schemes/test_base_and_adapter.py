@@ -65,10 +65,28 @@ class TestPPAdapter:
 
     def test_slots_match_inner(self, pp):
         idx = pp.random_request_set(50, seed=1)
-        mods = pp.placement(idx)
-        slots = pp.slots(idx, mods)
-        _, want = pp.scheme.placement_for(idx)
+        mods, slots = pp.placement_and_slots(idx)
+        want_mods, want = pp.scheme.placement_for(idx)
+        assert np.array_equal(mods, want_mods)
+        assert np.array_equal(mods, pp.placement(idx))
         assert np.array_equal(slots, want)
+
+    @pytest.mark.parametrize("op", ["count", "read", "write"])
+    def test_one_unrank_per_access(self, pp, op, monkeypatch):
+        from repro.core.addressing import AddressLayer
+
+        calls = []
+        original = AddressLayer.vunrank
+
+        def counting(self, indices):
+            calls.append(np.asarray(indices).size)
+            return original(self, indices)
+
+        monkeypatch.setattr(AddressLayer, "vunrank", counting)
+        idx = pp.random_request_set(64, seed=3)
+        st = pp.make_store()
+        pp.access(idx, op=op, store=st, values=idx, time=1)
+        assert calls == [64]
 
     def test_semantics_through_adapter(self, pp):
         idx = pp.random_request_set(200, seed=2)
