@@ -38,7 +38,8 @@ variable) and the report is machine-readable
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Sequence
 
 from repro.conformance.recorder import (
     KvOp,
@@ -166,120 +167,19 @@ class ViolationReport:
 _OP_RANK = {"write": 0, "read": 1}
 
 
-class MemOpCore:
-    """Incremental serial-memory-per-variable verifier.
-
-    Feed :class:`~repro.conformance.recorder.MemOp` records **in
-    arbitration order** -- sorted by ``(round, writes-before-reads,
-    seq)`` -- and each call classifies the operation immediately.  The
-    batch :class:`ConsistencyChecker` sorts a whole trace and feeds it
-    through one core; the streaming checker
-    (:mod:`repro.conformance.streaming`) feeds closed round-windows and
-    calls :meth:`retire` so retained state stays bounded.
-
-    State per variable: the current winning write (kept for the
-    variable's lifetime), the set of past written values with their last
-    write round (prunable -- it only classifies stale vs phantom), and
-    the post-lost-write taint set (cleared by the next successful
-    write).
-    """
+class _Core:
+    """Shared by the two cores: the report and the violation cap."""
 
     def __init__(
         self,
-        max_violations: int = 100,
-        on_violation: "Callable[[Violation], None] | None" = None,
+        max_violations: int,
+        on_violation: "Callable[[Violation], None] | None",
     ):
         if max_violations < 1:
             raise ValueError("max_violations must be >= 1")
         self.max_violations = max_violations
         self.on_violation = on_violation
         self.report = ViolationReport()
-        self._cur: dict[int, tuple[int, int]] = {}  # var -> (round, value)
-        self._past: dict[int, dict[int, int]] = {}  # var -> value -> round
-        self._taint: dict[int, set[int]] = {}  # var -> acceptable values
-
-    def feed(self, o: MemOp) -> Violation | None:
-        """Classify one operation; returns the violation, if any."""
-        rep = self.report
-        if o.op == "write":
-            rep.writes_seen += 1
-            self._past.setdefault(o.var, {})[o.value] = o.round
-            if o.lost:
-                # indeterminate: old winner and attempted value both
-                # acceptable until the next successful write
-                have = self._cur.get(o.var)
-                self._taint.setdefault(o.var, set()).update(
-                    {have[1] if have else -1, o.value}
-                )
-                rep.lost_exempt += 1
-                return None
-            self._taint.pop(o.var, None)
-            have = self._cur.get(o.var)
-            if (
-                have is None
-                or o.round > have[0]
-                # same-round arbitration: larger value wins, the
-                # protocol's (stamp << 32) | value packing order
-                or (o.round == have[0] and o.value > have[1])
-            ):
-                self._cur[o.var] = (o.round, o.value)
-            return None
-        # -- read ----------------------------------------------------
-        if o.lost:
-            rep.lost_exempt += 1
-            return None
-        rep.reads_checked += 1
-        have = self._cur.get(o.var)
-        expected = have[1] if have is not None else -1
-        if o.value == expected:
-            return None
-        accept = self._taint.get(o.var)
-        if accept is not None and o.value in accept:
-            rep.tainted_accepted += 1
-            return None
-        if expected == -1:
-            kind = "phantom-read"
-        elif o.value == -1:
-            kind = "dropped-read"
-        elif o.value in self._past.get(o.var, ()):
-            kind = "stale-read"
-        else:
-            kind = "phantom-read"
-        v = Violation(
-            kind=kind, var=str(o.var), round=o.round, proc=o.proc,
-            expected=expected, observed=o.value,
-        )
-        self._record(v)
-        return v
-
-    def retire(self, horizon: int) -> None:
-        """Drop past-value entries last written before round ``horizon``.
-
-        The current winner and the taint set survive (they define
-        correctness, not classification), so retiring only narrows the
-        stale-vs-phantom distinction for reads that reach back further
-        than the caller's window -- never the violation/no-violation
-        verdict itself.
-        """
-        for var in list(self._past):
-            vals = self._past[var]
-            keep = {v: r for v, r in vals.items() if r >= horizon}
-            winner = self._cur.get(var)
-            if winner is not None and winner[1] not in keep:
-                keep[winner[1]] = winner[0]
-            if keep:
-                self._past[var] = keep
-            else:
-                del self._past[var]
-
-    @property
-    def state_size(self) -> int:
-        """Retained entries across all per-variable structures."""
-        return (
-            len(self._cur)
-            + sum(len(v) for v in self._past.values())
-            + sum(len(v) for v in self._taint.values())
-        )
 
     def _record(self, v: Violation) -> None:
         rep = self.report
@@ -291,12 +191,25 @@ class MemOpCore:
             self.on_violation(v)
 
 
-class KvOpCore:
-    """Incremental dict-semantics verifier for ``kv.op`` streams.
+class MemOpCore(_Core):
+    """Incremental serial-memory-per-variable verifier.
 
-    Feed :class:`~repro.conformance.recorder.KvOp` records sorted by
-    ``(round, seq)``.  State is the live key->value model -- already
-    O(live keys), so :meth:`retire` exists only for interface symmetry.
+    Feed :class:`~repro.conformance.recorder.MemOp` records (or whole
+    batches with :meth:`feed_columns`) **in arbitration order** --
+    sorted by ``(round, writes-before-reads, seq)`` -- and each request
+    is classified immediately.  The batch :class:`ConsistencyChecker`
+    sorts a whole trace and feeds it through one core; the streaming
+    checker (:mod:`repro.conformance.streaming`) feeds closed
+    round-windows and calls :meth:`retire` so retained state stays
+    bounded.
+
+    State per variable: the current winning write (kept for the
+    variable's lifetime), the set of past written values with their last
+    write round (prunable -- it only classifies stale vs phantom), and
+    the post-lost-write taint set (cleared by the next successful
+    write).  Running counts of the past-value and taint entries make
+    :attr:`state_size` O(1), and past values are indexed by the round
+    they were last written, so :meth:`retire` visits only what expires.
     """
 
     def __init__(
@@ -304,37 +217,204 @@ class KvOpCore:
         max_violations: int = 100,
         on_violation: "Callable[[Violation], None] | None" = None,
     ):
-        if max_violations < 1:
-            raise ValueError("max_violations must be >= 1")
-        self.max_violations = max_violations
-        self.on_violation = on_violation
-        self.report = ViolationReport()
+        super().__init__(max_violations, on_violation)
+        self._cur: dict[int, tuple[int, int]] = {}  # var -> (round, value)
+        self._past: dict[int, dict[int, int]] = {}  # var -> value -> round
+        self._taint: dict[int, set[int]] = {}  # var -> acceptable values
+        #: round -> (var, value) pairs whose past entry was set to that
+        #: round; a pair is stale once ``_past[var][value]`` moved on
+        self._expiry: dict[int, list[tuple[int, int]]] = {}
+        self._horizon: float = float("-inf")  # largest retire horizon
+        self._n_past = 0
+        self._n_taint = 0
+
+    def feed(self, o: MemOp) -> Violation | None:
+        """Classify one operation; returns the violation, if any."""
+        if o.op == "write":
+            self._write(o.var, o.value, o.round, o.lost)
+            return None
+        return self._read(o.var, o.value, o.round, o.proc, o.lost)
+
+    def feed_columns(
+        self,
+        op: str,
+        round_: int,
+        var_ids: Sequence[int],
+        values: Sequence[int],
+        lost: Sequence[bool] | None = None,
+    ) -> None:
+        """Classify one batch's requests in order; request ``i`` is
+        processor ``i`` (the :class:`~repro.obs.record.BatchRecord`
+        layout), and ``lost=None`` means no quorum was lost."""
+        gone = repeat(False) if lost is None else lost
+        if op == "write":
+            write = self._write
+            for var, value, g in zip(var_ids, values, gone):
+                write(var, value, round_, g)
+        else:
+            read = self._read
+            for proc, (var, value, g) in enumerate(zip(var_ids, values, gone)):
+                read(var, value, round_, proc, g)
+
+    def _write(self, var: int, value: int, round_: int, lost: bool) -> None:
+        self.report.writes_seen += 1
+        past = self._past.get(var)
+        if past is None:
+            past = self._past[var] = {}
+        if value not in past:
+            self._n_past += 1
+        past[value] = round_
+        self._expiring(round_).append((var, value))
+        have = self._cur.get(var)
+        if lost:
+            # indeterminate: old winner and attempted value both
+            # acceptable until the next successful write
+            taint = self._taint.get(var)
+            if taint is None:
+                taint = self._taint[var] = set()
+            n = len(taint)
+            taint.add(have[1] if have else -1)
+            taint.add(value)
+            self._n_taint += len(taint) - n
+            self.report.lost_exempt += 1
+            return
+        taint = self._taint.pop(var, None)
+        if taint is not None:
+            self._n_taint -= len(taint)
+        if (
+            have is None
+            or round_ > have[0]
+            # same-round arbitration: larger value wins, the
+            # protocol's (stamp << 32) | value packing order
+            or (round_ == have[0] and value > have[1])
+        ):
+            self._cur[var] = (round_, value)
+            if have is not None and have[1] != value:
+                # the old winner's entry, if a retire pinned it below
+                # the horizon, becomes droppable at the next retire
+                r = past.get(have[1])
+                if r is not None and r < self._horizon:
+                    self._expiring(r).append((var, have[1]))
+
+    def _read(
+        self, var: int, value: int, round_: int, proc: int, lost: bool
+    ) -> Violation | None:
+        rep = self.report
+        if lost:
+            rep.lost_exempt += 1
+            return None
+        rep.reads_checked += 1
+        have = self._cur.get(var)
+        expected = have[1] if have is not None else -1
+        if value == expected:
+            return None
+        accept = self._taint.get(var)
+        if accept is not None and value in accept:
+            rep.tainted_accepted += 1
+            return None
+        if expected == -1:
+            kind = "phantom-read"
+        elif value == -1:
+            kind = "dropped-read"
+        elif value in self._past.get(var, ()):
+            kind = "stale-read"
+        else:
+            kind = "phantom-read"
+        v = Violation(
+            kind=kind, var=str(var), round=round_, proc=proc,
+            expected=expected, observed=value,
+        )
+        self._record(v)
+        return v
+
+    def _expiring(self, round_: int) -> list[tuple[int, int]]:
+        bucket = self._expiry.get(round_)
+        if bucket is None:
+            bucket = self._expiry[round_] = []
+        return bucket
+
+    def retire(self, horizon: int) -> None:
+        """Drop past-value entries last written before round ``horizon``.
+
+        The current winner and the taint set survive (they define
+        correctness, not classification), so retiring only narrows the
+        stale-vs-phantom distinction for reads that reach back further
+        than the caller's window -- never the violation/no-violation
+        verdict itself.  An expired winner's entry is kept at the
+        winner's round until a different value wins.
+        """
+        self._horizon = max(self._horizon, horizon)
+        for r in [r for r in self._expiry if r < horizon]:
+            for var, value in self._expiry.pop(r):
+                past = self._past.get(var)
+                if past is None or past.get(value) != r:
+                    continue  # rewritten since, or already dropped
+                winner = self._cur.get(var)
+                if winner is not None and winner[1] == value:
+                    past[value] = winner[0]
+                    continue
+                del past[value]
+                self._n_past -= 1
+                if not past:
+                    del self._past[var]
+
+    @property
+    def state_size(self) -> int:
+        """Retained entries across all per-variable structures."""
+        return len(self._cur) + self._n_past + self._n_taint
+
+
+class KvOpCore(_Core):
+    """Incremental dict-semantics verifier for ``kv.op`` streams.
+
+    Feed :class:`~repro.conformance.recorder.KvOp` records (or whole
+    batches with :meth:`feed_columns`) sorted by ``(round, seq)``.
+    State is the live key->value model -- already O(live keys), so
+    :meth:`retire` exists only for interface symmetry.
+    """
+
+    def __init__(
+        self,
+        max_violations: int = 100,
+        on_violation: "Callable[[Violation], None] | None" = None,
+    ):
+        super().__init__(max_violations, on_violation)
         self._model: dict[str, int] = {}
 
     def feed(self, o: KvOp) -> Violation | None:
         """Apply one kv operation to the model; returns any violation."""
+        return self._apply(o.op, o.key, o.value, o.round)
+
+    def feed_columns(
+        self, op: str, round_: int, keys: Sequence[object],
+        values: Sequence[int],
+    ) -> None:
+        """Apply one batch operation's keys in order (keys compare as
+        ``str``, the :class:`~repro.obs.record.KvRecord` layout)."""
+        apply = self._apply
+        for key, value in zip(keys, values):
+            apply(op, str(key), value, round_)
+
+    def _apply(
+        self, op: str, key: str, value: int, round_: int
+    ) -> Violation | None:
         rep = self.report
         rep.kv_checked += 1
-        if o.op == "put":
-            self._model[o.key] = o.value
+        if op == "put":
+            self._model[key] = value
             return None
-        if o.op == "delete":
-            self._model.pop(o.key, None)
+        if op == "delete":
+            self._model.pop(key, None)
             return None
-        expected = self._model.get(o.key, -1)
-        if o.value == expected:
+        expected = self._model.get(key, -1)
+        if value == expected:
             return None
         kind = "kv-stale-get" if expected != -1 else "kv-phantom-get"
         v = Violation(
-            kind=kind, var=o.key, round=o.round, proc=-1,
-            expected=expected, observed=o.value,
+            kind=kind, var=key, round=round_, proc=-1,
+            expected=expected, observed=value,
         )
-        if len(rep.violations) < self.max_violations:
-            rep.violations.append(v)
-        else:
-            rep.truncated += 1
-        if self.on_violation is not None:
-            self.on_violation(v)
+        self._record(v)
         return v
 
     def retire(self, horizon: int) -> None:

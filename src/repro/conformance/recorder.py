@@ -5,8 +5,8 @@ and every completed kvstore batch operation hands one record to
 :func:`repro.obs.emit`, behind the single :func:`repro.obs.enabled`
 guard.  A recording tracer expands it into one ``mem.op`` event per
 read/write request or one ``kv.op`` event per key; the bus carries the
-record itself, which :func:`ops_from_record` expands into the same
-operations.
+record itself, which the streaming checker reads column by column
+(:meth:`~repro.conformance.streaming.StreamingChecker.feed_record`).
 
 :class:`TraceRecorder` is a :class:`~repro.obs.trace.RecordingTracer`
 that knows how to project those events back out as typed operation
@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import repro.obs as _obs
-from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.trace import RecordingTracer, read_jsonl
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "record",
     "mem_ops_from_events",
     "kv_ops_from_events",
-    "ops_from_record",
     "load_mem_ops",
     "load_kv_ops",
 ]
@@ -110,15 +108,6 @@ def kv_ops_from_events(events) -> list[KvOp]:
         for e in events
         if e.get("name") == KV_EVENT
     ]
-
-
-def ops_from_record(
-    rec: BatchRecord | KvRecord, seq: int = 0
-) -> list[MemOp] | list[KvOp]:
-    """The operations of one batch record (a bus event's ``record``),
-    as its trace events carry them, numbered from ``seq + 1``."""
-    cls = KvOp if isinstance(rec, KvRecord) else MemOp
-    return [cls(seq=seq + i, **f) for i, f in enumerate(rec.op_events(), 1)]
 
 
 def load_mem_ops(path: str) -> list[MemOp]:

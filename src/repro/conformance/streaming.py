@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import repro.obs as _obs
@@ -48,7 +49,7 @@ from repro.conformance.checker import (
     ViolationReport,
     _OP_RANK,
 )
-from repro.conformance.recorder import KvOp, MemOp, ops_from_record
+from repro.conformance.recorder import KvOp, MemOp
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import BatchRecord, KvRecord
 from repro.obs.stream import EventBus, HealthAggregator
@@ -72,6 +73,11 @@ __all__ = [
 #: watchdog events: the two batch-record kinds the bus carries
 _WATCH_EVENTS = frozenset({BatchRecord.EVENT, KvRecord.EVENT})
 
+#: a buffered item: (writes-before-reads rank, arrival number of its
+#: first request, requests, the operation or batch record)
+_Entry = tuple[int, int, int, object]
+_ARRIVAL = itemgetter(0, 1)
+
 
 class StreamingChecker:
     """Incremental windowed PRAM-conformance verifier.
@@ -90,6 +96,12 @@ class StreamingChecker:
     on_violation:
         Optional callback invoked with each :class:`Violation` the
         moment its round is closed -- the online-detection hook.
+
+    Operations arrive one at a time (:meth:`feed_mem` /
+    :meth:`feed_kv`, numbered by their own ``seq``) or one batch record
+    at a time (:meth:`feed_record`, its requests numbered on in arrival
+    order); a closed round is checked writes first, then by number.
+    Running counts keep :attr:`buffered` and :attr:`state_size` O(1).
     """
 
     def __init__(
@@ -103,34 +115,63 @@ class StreamingChecker:
         self.window = window
         self._mem = MemOpCore(max_violations, on_violation=on_violation)
         self._kv = KvOpCore(max_violations, on_violation=on_violation)
-        self._pending: dict[int, list[MemOp]] = {}
-        self._kv_pending: dict[int, list[KvOp]] = {}
+        # round -> [(rank, seq, requests, MemOp | KvOp | record)]
+        self._pending: dict[int, list[_Entry]] = {}
+        self._kv_pending: dict[int, list[_Entry]] = {}
+        self._buffered = 0
         self.high = -1  # highest round seen
         self.retired_through = -1  # rounds <= this are closed
         self.late_dropped = 0
         self.events_fed = 0
         self.peak_state = 0
         self.peak_buffered = 0
+        #: (first violation, stream-head round when it was flagged)
+        self.first_violation: tuple[Violation, int] | None = None
 
     # -- feeding -------------------------------------------------------
 
     def feed_mem(self, op: MemOp) -> None:
         """Buffer one memory operation and advance the window."""
-        self.events_fed += 1
-        if op.round <= self.retired_through:
-            self.late_dropped += 1
-            return
-        self._pending.setdefault(op.round, []).append(op)
-        self._advance(op.round)
+        self._buffer(self._pending, op.round, (_OP_RANK[op.op], op.seq, 1, op))
 
     def feed_kv(self, op: KvOp) -> None:
         """Buffer one kv operation and advance the window."""
-        self.events_fed += 1
-        if op.round <= self.retired_through:
-            self.late_dropped += 1
+        self._buffer(self._kv_pending, op.round, (0, op.seq, 1, op))
+
+    def feed_record(self, rec: BatchRecord | KvRecord) -> None:
+        """Buffer one batch record's requests and advance the window.
+
+        The requests are numbered on from the operations fed so far; a
+        ``count`` batch moves no memory and is skipped.  Peaks are
+        sampled as if the requests arrived one by one: once after the
+        first is buffered (before any round closes), once after all.
+        """
+        seq = self.events_fed + 1
+        if isinstance(rec, KvRecord):
+            self._buffer(
+                self._kv_pending, rec.time, (0, seq, len(rec.keys), rec)
+            )
+        elif rec.values is not None:
+            self._buffer(
+                self._pending, rec.time,
+                (_OP_RANK[rec.op], seq, rec.requests, rec),
+            )
+
+    def _buffer(self, pending: dict[int, list[_Entry]], r: int,
+                entry: _Entry) -> None:
+        n = entry[2]
+        if not n:
             return
-        self._kv_pending.setdefault(op.round, []).append(op)
-        self._advance(op.round)
+        self.events_fed += n
+        if r <= self.retired_through:
+            self.late_dropped += n
+            return
+        pending.setdefault(r, []).append(entry)
+        self._buffered += 1
+        self._advance(r)
+        if n > 1:
+            self._buffered += n - 1
+            self._note_state()
 
     def finish(self) -> ViolationReport:
         """Close every still-open round and return the final report."""
@@ -162,22 +203,35 @@ class StreamingChecker:
         self._mem.retire(horizon - self.window + 1)
 
     def _close_round(self, r: int) -> None:
-        mem = self._pending.pop(r, None)
-        if mem:
-            mem.sort(key=lambda o: (_OP_RANK[o.op], o.seq))
-            for o in mem:
-                self._mem.feed(o)
-        kv = self._kv_pending.pop(r, None)
-        if kv:
-            kv.sort(key=lambda o: o.seq)
-            for o in kv:
-                self._kv.feed(o)
+        for pending, core in (
+            (self._pending, self._mem), (self._kv_pending, self._kv)
+        ):
+            entries = pending.pop(r, None)
+            if not entries:
+                continue
+            entries.sort(key=_ARRIVAL)
+            for _, _, n, item in entries:
+                self._buffered -= n
+                if isinstance(item, BatchRecord):
+                    self._mem.feed_columns(
+                        item.op, r, item.var_ids.tolist(),
+                        item.values.tolist(),  # type: ignore[union-attr]
+                        None if item.lost is None else item.lost.tolist(),
+                    )
+                elif isinstance(item, KvRecord):
+                    self._kv.feed_columns(
+                        item.op, r, item.keys, item.values.tolist()
+                    )
+                else:
+                    core.feed(item)  # type: ignore[arg-type]
+            if self.first_violation is None and core.report.violations:
+                self.first_violation = (core.report.violations[0], self.high)
 
     def _note_state(self) -> None:
         s = self.state_size
         if s > self.peak_state:
             self.peak_state = s
-        b = self.buffered
+        b = self._buffered
         if b > self.peak_buffered:
             self.peak_buffered = b
 
@@ -201,9 +255,7 @@ class StreamingChecker:
     @property
     def buffered(self) -> int:
         """Operations waiting in still-open rounds."""
-        return sum(len(v) for v in self._pending.values()) + sum(
-            len(v) for v in self._kv_pending.values()
-        )
+        return self._buffered
 
     @property
     def lag_rounds(self) -> int:
@@ -215,7 +267,7 @@ class StreamingChecker:
     @property
     def state_size(self) -> int:
         """Total retained entries: buffered ops + core model state."""
-        return self.buffered + self._mem.state_size + self._kv.state_size
+        return self._buffered + self._mem.state_size + self._kv.state_size
 
     def __repr__(self) -> str:
         return (
@@ -269,48 +321,46 @@ class Watchdog:
         self.bus = bus
         self.registry = registry if registry is not None else MetricsRegistry()
         self.checker = StreamingChecker(
-            window=window,
-            max_violations=max_violations,
-            on_violation=self._on_violation,
+            window=window, max_violations=max_violations
         )
         self.health = HealthAggregator(self.registry)
         self.subscription = bus.subscribe(
             names=_WATCH_EVENTS, capacity=queue_capacity
         )
         self.snapshots: list[HealthSnapshot] = []
-        self._seq = 0  # operations expanded so far
-        self.violations_seen = 0
-        #: (violation, stream-head round when it was flagged)
-        self.first_violation: tuple[Violation, int] | None = None
+        self._counted = 0  # violations already in ``watch.violations``
 
-    def _on_violation(self, v: Violation) -> None:
-        self.violations_seen += 1
-        if self.first_violation is None:
-            self.first_violation = (v, self.checker.high)
-        self.registry.counter("watch.violations").inc()
+    @property
+    def violations_seen(self) -> int:
+        """Violations flagged so far (listed + truncated)."""
+        return self.checker.n_violations
+
+    @property
+    def first_violation(self) -> tuple[Violation, int] | None:
+        """(first violation, stream-head round when it was flagged)."""
+        return self.checker.first_violation
 
     def poll(self) -> int:
         """Drain the subscription; returns the number of records routed.
-        Each record's operations reach the checker numbered in arrival
-        order; protocol records also feed the health aggregator."""
+        Each record reaches the checker whole, its requests numbered in
+        arrival order; protocol records also feed the health
+        aggregator."""
         events = self.subscription.drain()
-        checker = self.checker
+        feed = self.checker.feed_record
         for e in events:
             rec = e["record"]
-            ops = ops_from_record(rec, self._seq)
-            self._seq += len(ops)
-            if isinstance(rec, KvRecord):
-                feed = checker.feed_kv
-            else:
+            if isinstance(rec, BatchRecord):
                 self.health.consume(rec)
-                feed = checker.feed_mem
-            for op in ops:
-                feed(op)
+            feed(rec)
         self._update_gauges()
         return len(events)
 
     def _update_gauges(self) -> None:
         m = self.registry
+        seen = self.checker.n_violations
+        if seen > self._counted:
+            m.counter("watch.violations").inc(seen - self._counted)
+            self._counted = seen
         m.gauge("watch.checker_lag").set(self.checker.lag_rounds)
         m.gauge("watch.state_size").update_max(self.checker.state_size)
         m.gauge("watch.events_dropped").set(self.subscription.dropped)

@@ -25,6 +25,7 @@ import repro.obs as _obs
 from repro.core.addressing import AddressLayer, Lemma4Slots
 from repro.core.graph import MemoryGraph
 from repro.core.protocol import AccessResult, run_access_protocol
+from repro.mpc.machine import all_distinct
 from repro.mpc.memory import SharedCopyStore
 from repro.pgl.matrix import Mat
 
@@ -184,7 +185,7 @@ class PPScheme:
         :mod:`repro.core.engine`).
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if np.unique(indices).size != indices.size:
+        if not all_distinct(indices):
             raise ValueError("requests must address distinct variables")
         led = _obs.ledger() if _obs.enabled() else None
         if led is not None:

@@ -15,7 +15,25 @@ import repro.obs as _obs
 from repro.mpc.arbitration import Arbiter, make_arbiter
 from repro.mpc.stats import MPCStats
 
-__all__ = ["MPC"]
+__all__ = ["MPC", "all_distinct", "max_multiplicity"]
+
+
+def all_distinct(x: np.ndarray) -> bool:
+    """True iff no two entries of ``x`` are equal (one sort, O(k log k))."""
+    s = np.sort(x, axis=None)
+    return not bool((s[1:] == s[:-1]).any())
+
+
+def max_multiplicity(x: np.ndarray) -> int:
+    """Occurrences of the most frequent entry of ``x`` (0 when empty):
+    one sort, so O(k log k) in the entries, not in their range."""
+    if x.size == 0:
+        return 0
+    s = np.sort(x, axis=None)
+    runs = np.flatnonzero(s[1:] != s[:-1])
+    ends = np.empty(runs.size + 2, dtype=np.intp)  # last index of each run
+    ends[0], ends[1:-1], ends[-1] = -1, runs, s.size - 1
+    return int((ends[1:] - ends[:-1]).max())
 
 
 class MPC:
@@ -94,8 +112,7 @@ class MPC:
             idx_open = np.nonzero(~blocked[module_ids])[0]
             if idx_open.size == 0:
                 # every addressed module is silent: an empty step
-                _, counts = np.unique(module_ids, return_counts=True)
-                congestion = int(counts.max())
+                congestion = max_multiplicity(module_ids)
                 self.stats.record_step(module_ids.size, 0, congestion)
                 if _obs.enabled():
                     _obs.on_mpc_step(int(module_ids.size), 0, congestion)
@@ -104,9 +121,8 @@ class MPC:
         # contract check: winners hit distinct modules
         served_mods = module_ids[winners]
         # congestion over the *requested* modules only (O(k log k), not O(N))
-        _, counts = np.unique(module_ids, return_counts=True)
-        congestion = int(counts.max())
-        if np.unique(served_mods).size != served_mods.size:
+        congestion = max_multiplicity(module_ids)
+        if not all_distinct(served_mods):
             raise AssertionError("arbiter served a module twice in one step")
         self.stats.record_step(module_ids.size, winners.size, congestion)
         if _obs.enabled():

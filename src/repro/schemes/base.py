@@ -14,6 +14,7 @@ import numpy as np
 
 import repro.obs as _obs
 from repro.core.protocol import AccessResult, run_access_protocol
+from repro.mpc.machine import all_distinct
 
 __all__ = ["MemoryScheme", "KeyedCopyStore"]
 
@@ -143,7 +144,7 @@ class MemoryScheme(ABC):
         two shards' variables.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if np.unique(indices).size != indices.size:
+        if not all_distinct(indices):
             raise ValueError("requests must address distinct variables")
         led = _obs.ledger() if _obs.enabled() else None
         if led is not None:

@@ -41,8 +41,10 @@ def distinct_hash_modules(
 ) -> np.ndarray:
     """``(V, r)`` pseudo-random module ids, distinct within each row.
 
-    Rows are resalted until collision-free; with r << sqrt(N) the
-    expected number of passes is ~1.
+    A colliding copy is re-drawn with salts ``r, r + 1, ...`` counted
+    within its own row, so a variable's row depends on the variable
+    alone, never on the batch it is placed in; with r << sqrt(N)
+    collisions are rare.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if r > n_modules:
@@ -51,25 +53,14 @@ def distinct_hash_modules(
     out = np.empty((V, r), dtype=np.int64)
     for j in range(r):
         out[:, j] = hash_to_range(indices, n_modules, seed=seed, salt=j)
-    salt = r
-    for _ in range(64):
-        sorted_rows = np.sort(out, axis=1)
-        bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
-        if not bad.any():
-            return out
-        # Re-draw one colliding column per bad row; cheap because rare.
-        rows = np.nonzero(bad)[0]
-        for i in rows:
-            row = out[i]
-            seen: set[int] = set()
-            for j in range(r):
-                while int(row[j]) in seen:
-                    row[j] = int(
-                        hash_to_range(
-                            np.array([indices[i]]), n_modules, seed=seed, salt=salt + j
-                        )[0]
-                    )
-                    salt += 1
-                seen.add(int(row[j]))
-        salt += r
-    raise RuntimeError("could not derandomize duplicate modules")  # pragma: no cover
+    sorted_rows = np.sort(out, axis=1)
+    bad = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+    for i in np.flatnonzero(bad):
+        row, key, salt = out[i], indices[i:i + 1], r
+        seen: set[int] = set()
+        for j in range(r):
+            while int(row[j]) in seen:
+                row[j] = hash_to_range(key, n_modules, seed=seed, salt=salt)[0]
+                salt += 1
+            seen.add(int(row[j]))
+    return out

@@ -8,6 +8,8 @@ it must flag the q/2+1 stale-majority attack while the run is still
 going.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -260,24 +262,48 @@ class TestWatchdog:
         assert snap["watch.violations"]["value"] == dog.violations_seen
         assert snap["watch.batches"]["value"] > 0
 
-    def test_poll_expands_records_with_running_seq(self):
+    def test_poll_feeds_records_in_arbitration_order(self):
+        # the order a record's requests reach the checker shows only in
+        # verdicts: a round's reads after its writes whatever the
+        # arrival order, writes and kv ops in arrival order, request i
+        # of a record as processor i
+        def rec(op, time, values, lost=0):
+            return replace(
+                batch_record(op=op, time=time, requests=len(values),
+                             lost=lost),
+                values=np.array(values),
+            )
+
+        def kv(op, keys, values):
+            return KvRecord(op=op, keys=keys, values=np.array(values), time=2)
+
         bus = EventBus()
-        dog = Watchdog(bus)
-        fed = []
-        dog.checker.feed_mem = fed.append
-        dog.checker.feed_kv = fed.append
-        bus.publish(BatchRecord.EVENT, {"record": batch_record(requests=3)})
-        bus.publish(KvRecord.EVENT, {"record": KvRecord(
-            op="put", keys=("a", 7), values=np.array([5, 6]), time=2,
-        )})
-        bus.publish(BatchRecord.EVENT, {"record": batch_record(op="count")})
+        dog = Watchdog(bus, window=1)
+        for r in (
+            rec("read", 1, [5, 6, 9]),   # arrives before its writes
+            rec("write", 1, [5, 6, 7]),
+            kv("get", ("a",), [-1]),     # arrives before the put
+            kv("put", ("a", 7), [5, 6]),
+            kv("get", (7,), [6]),
+            rec("write", 2, [10], lost=1),
+            rec("write", 2, [11]),       # clears the lost write's taint
+            rec("read", 3, [10]),
+            batch_record(op="count", time=3),  # moves no memory
+        ):
+            bus.publish(type(r).EVENT, {"record": r})
         bus.publish("other.event", {"record": None})  # not subscribed
-        assert dog.poll() == 3
-        assert [o.seq for o in fed] == [1, 2, 3, 4, 5]
-        assert [type(o) for o in fed] == [MemOp] * 3 + [KvOp] * 2
-        assert [o.proc for o in fed[:3]] == [0, 1, 2]
-        assert fed[4] == KvOp(op="put", key="7", value=6, round=2, seq=5)
-        assert dog.health.batches == 1  # the count batch moves no memory
+        assert dog.poll() == 9
+        assert dog.checker.events_fed == 3 + 3 + 1 + 2 + 1 + 1 + 1 + 1
+        assert dog.health.batches == 5  # the count batch is not health
+        phantom = ("phantom-read", 2, 1, 2)
+        first, at_round = dog.first_violation
+        assert (first.kind, first.proc, first.round, int(first.var)) == phantom
+        assert at_round == 2  # round 1 closed when round 2 arrived
+        assert violation_keys(dog.finish()) == [
+            phantom, ("stale-read", 0, 3, 0),
+        ]
+        assert dog.violations_seen == 2
+        assert dog.registry.snapshot()["watch.violations"]["value"] == 2
 
     def test_bounded_queue_drops_are_visible(self):
         bus = EventBus()
@@ -356,6 +382,13 @@ class TestStreamFuzz:
         assert "watch.batches" in result.metrics
         d = result.to_dict()
         assert d["ok"] and d["schema"] == 1
+
+    def test_uw_fault_free_run_is_clean(self):
+        # a fault-free run flagged a stale read at (6, 85, 276) while
+        # the hash repair salt was shared across each batch
+        result = stream_fuzz(scheme="uw", total_ops=3000, seed=0)
+        assert result.report.n_violations == 0
+        assert result.ok
 
     def test_leaves_no_bus_installed(self):
         stream_fuzz(scheme="pp2", total_ops=200, seed=0)

@@ -204,13 +204,31 @@ def test_vsqrt_vfrobenius_charge_like_scalar():
 
 
 # ---------------------------------------------------------------------------
-# batched coset lookup (Lemma 4) vs the scalar locate path
+# batched coset lookup (Lemma 4) vs a Lemma-2 enumeration
+#
+# Scalar ``locate`` runs the same closed-form kernel as the batch path,
+# so agreeing with it proves nothing about the closed form.  The oracle
+# here is ``gamma_module(u)``: the variables stored in module ``u``,
+# listed in slot order, which shares no code with the kernel.
 
 
 @pytest.fixture(scope="module", params=[(2, 3), (4, 3)])
 def scheme(request):
     q, n = request.param
     return PPScheme(q, n)
+
+
+def enumerated_cells(scheme, var):
+    """``{(module, slot)}`` holding a copy of variable ``var``, found by
+    scanning ``gamma_module(u)`` for the variable's coset key."""
+    g = scheme.graph
+    key = g.variables.key(scheme.addressing.unrank(var))
+    return {
+        (u, k)
+        for u in g.gamma_variable(scheme.addressing.unrank(var))
+        for k, mat in enumerate(g.gamma_module(u))
+        if g.variables.key(mat) == key
+    }
 
 
 def test_batched_slots_match_scalar_locate(scheme):
@@ -220,25 +238,29 @@ def test_batched_slots_match_scalar_locate(scheme):
     slots = batched_slots(scheme.graph, mats, modules)
     assert slots.shape == modules.shape == (idx.size, scheme.graph.q + 1)
     for i, var in enumerate(idx):
-        want = set(scheme.locate(int(var)))
+        want = enumerated_cells(scheme, int(var))
+        assert len(want) == scheme.graph.q + 1
         got = set(zip(modules[i].tolist(), slots[i].tolist()))
-        assert got == want
+        assert got == want == set(scheme.locate(int(var)))
 
 
 def test_vlocate_matches_locate(scheme):
     idx = scheme.random_request_set(24, seed=3)
     modules, slots = scheme.addressing.vlocate(idx)
     for i, var in enumerate(idx):
-        want = set(scheme.addressing.locate(int(var)))
+        want = enumerated_cells(scheme, int(var))
         got = set(zip(modules[i].tolist(), slots[i].tolist()))
-        assert got == want
+        assert got == want == set(scheme.addressing.locate(int(var)))
 
 
 def test_vslots_delegates_to_shared_kernel(scheme):
     idx = scheme.random_request_set(8, seed=1)
     mats = scheme.addressing.vunrank(idx)
     modules = scheme.graph.vgamma_variables(mats)
+    slots = scheme.addressing.vslots(mats, modules)
     np.testing.assert_array_equal(
-        scheme.addressing.vslots(mats, modules),
-        batched_slots(scheme.graph, mats, modules),
+        slots, batched_slots(scheme.graph, mats, modules)
     )
+    for i, var in enumerate(idx):
+        got = set(zip(modules[i].tolist(), slots[i].tolist()))
+        assert got == enumerated_cells(scheme, int(var))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpc.machine import MPC
+from repro.mpc.machine import MPC, all_distinct, max_multiplicity
 
 
 class TestStep:
@@ -110,3 +110,19 @@ class TestHistory:
         mpc.step(np.array([0, 1]))
         mpc.step(np.array([0, 0]))
         assert mpc.stats.served_per_step == [2, 1]
+
+
+class TestSortedCounts:
+    def test_match_unique_counts(self):
+        # the sort-based counts agree with np.unique's on random inputs
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            x = rng.integers(0, rng.integers(1, 40), size=rng.integers(1, 30))
+            _, counts = np.unique(x, return_counts=True)
+            assert max_multiplicity(x) == counts.max()
+            assert all_distinct(x) == (counts.max() == 1)
+
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert max_multiplicity(empty) == 0
+        assert all_distinct(empty)

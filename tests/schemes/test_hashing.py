@@ -62,3 +62,15 @@ class TestDistinctHashModules:
         a = distinct_hash_modules(np.arange(100), 3, 64, seed=9)
         b = distinct_hash_modules(np.arange(100), 3, 64, seed=9)
         assert np.array_equal(a, b)
+
+    def test_row_independent_of_batch(self):
+        # a variable's copies must not move with the other variables of
+        # its batch, or a read misses the copies its write placed
+        idx = np.arange(2000)
+        full = distinct_hash_modules(idx, 4, 8, seed=1)
+        for v in (0, 7, 311, 1999):
+            alone = distinct_hash_modules(idx[v:v + 1], 4, 8, seed=1)
+            assert np.array_equal(alone[0], full[v])
+        assert np.array_equal(
+            distinct_hash_modules(idx[::-1], 4, 8, seed=1), full[::-1]
+        )

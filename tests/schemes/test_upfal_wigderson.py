@@ -44,6 +44,15 @@ class TestPlacement:
         idx = np.arange(500)
         assert not np.array_equal(a.placement(idx), b.placement(idx))
 
+    def test_placement_alone_equals_full_batch_row(self):
+        # the conformance instance: 19 of its 512 variables used to
+        # place differently alone than in one full batch, so a write
+        # and a later read in different batches missed each other
+        s = UpfalWigdersonScheme(64, 512, c=2)
+        full = s.placement(np.arange(s.M))
+        alone = np.vstack([s.placement(np.array([v])) for v in range(s.M)])
+        assert np.array_equal(alone, full)
+
     def test_balanced_loads(self, uw):
         pl = uw.placement(np.arange(5456))
         loads = np.bincount(pl.ravel(), minlength=uw.N)

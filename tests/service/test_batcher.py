@@ -1,6 +1,9 @@
 """Unit tests of the deterministic service core: admission, fairness,
 round semantics, arbitration, and quorum-loss mapping."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -276,6 +279,22 @@ class TestLifecycle:
         core.open()
         core.close()
         core.close()
+
+    def test_closed_watchdog_freed_without_cycle_collector(self):
+        # nothing the watchdog owns may point back at it, so dropping a
+        # closed service frees its whole watchdog state at once
+        gc.disable()
+        try:
+            core = ServiceCore(ServiceConfig(q=2, n=3, watchdog=True))
+            with core:
+                (a,) = core.register_sessions(1)
+                core.submit(a, OP_PUT, 1, 2)
+                core.run_round()
+            dog = weakref.ref(core.watchdog)
+            del core
+            assert dog() is None
+        finally:
+            gc.enable()
 
     def test_watchdog_stats_surface(self):
         with ServiceCore(ServiceConfig(q=2, n=3, watchdog=True)) as core:

@@ -24,7 +24,8 @@ from hypothesis.stateful import (
 )
 
 from repro.conformance.checker import ConsistencyChecker
-from repro.conformance.recorder import KvOp, ops_from_record
+from repro.conformance.recorder import KvOp, MemOp
+from repro.obs.record import KvRecord
 from repro.service.batcher import (
     OP_DELETE,
     OP_GET,
@@ -127,7 +128,13 @@ class ServiceMachine(RuleBasedStateMachine):
             # offline batch re-check of the full published record stream
             ops = []
             for e in self.events:
-                ops += ops_from_record(e["record"], len(ops))
+                rec = e["record"]
+                cls = KvOp if isinstance(rec, KvRecord) else MemOp
+                base = len(ops)
+                ops += [
+                    cls(seq=base + i, **f)
+                    for i, f in enumerate(rec.op_events(), 1)
+                ]
             checker = ConsistencyChecker()
             rep = checker.check_mem_ops(
                 [o for o in ops if not isinstance(o, KvOp)]
