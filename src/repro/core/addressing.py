@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import repro.obs as _obs
 from repro.gf.gf2m import GF2m
 from repro.gf.subfield import BasisDecomposition, FieldEmbedding
 from repro.core.graph import MemoryGraph
@@ -375,12 +374,6 @@ class AddressLayer(Lemma4Slots):
         if not 0 <= index < self.M:
             raise ValueError(f"variable index {index} out of [0, {self.M})")
         self.ops.calls += 1
-        if _obs.metrics_enabled():
-            _obs.metrics().counter("address.unranks").inc()
-        if _obs.enabled():
-            led = _obs.ledger()
-            if led is not None:
-                led.count("addr.on_the_fly")
         L = self.L
         if index < self.c1:
             i = index
@@ -519,19 +512,6 @@ class AddressLayer(Lemma4Slots):
         S4 inversion is a division and one bracket check); this is what
         makes protocol experiments at N = 262k feasible.
         """
-        if _obs.enabled():
-            led = _obs.ledger()
-            if led is not None:
-                led.count("addr.on_the_fly", int(np.asarray(indices).size))
-            with _obs.span(
-                "address.vunrank", count=int(np.asarray(indices).size)
-            ):
-                return self._vunrank(indices)
-        return self._vunrank(indices)
-
-    def _vunrank(
-        self, indices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         idx = np.asarray(indices, dtype=np.int64)
         if np.any((idx < 0) | (idx >= self.M)):
             raise ValueError("variable index out of range in vunrank")

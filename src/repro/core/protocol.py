@@ -335,7 +335,12 @@ def run_access_protocol(
                     live_history=list(trace.live_history),
                 )
             phases.append(trace)
-        acc_span.add(total_iterations=sum(p.iterations for p in phases))
+        st = mpc.stats
+        acc_span.add(
+            total_iterations=sum(p.iterations for p in phases),
+            mpc_steps=st.steps, mpc_requests=st.requests,
+            mpc_served=st.served, mpc_max_congestion=st.max_congestion,
+        )
     fault_report = None
     if track:
         lost_idx = np.nonzero(out_lost)[0].astype(np.int64)

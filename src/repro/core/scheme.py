@@ -67,12 +67,7 @@ class EnumeratedAddressing(Lemma4Slots):
         self, indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized unrank via the enumeration table."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if _obs.enabled():
-            led = _obs.ledger()
-            if led is not None:
-                led.count("addr.table", int(indices.size))
-        rows = self._arr[indices]
+        rows = self._arr[np.asarray(indices, dtype=np.int64)]
         return rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
 
 
@@ -111,8 +106,6 @@ class PPScheme:
                 self.addressing = EnumeratedAddressing(self.graph)
                 self.addressing_kind = "enumerated-fallback"
             sp.add(N=self.N, M=self.M, addressing=self.addressing_kind)
-        if _obs.metrics_enabled():
-            _obs.metrics().counter("scheme.builds").inc()
 
     # -- placement -------------------------------------------------------
 
@@ -123,30 +116,15 @@ class PPScheme:
     def module_ids_for(self, indices: np.ndarray) -> np.ndarray:
         """``(V, q+1)`` module ids of the copies of each requested
         variable (vectorized unrank + Lemma 1 kernel)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if not _obs.enabled():
-            mats = self.addressing.vunrank(indices)
-            return self.graph.vgamma_variables(mats)
-        with self._observe_placement(indices.size, slots=False):
-            mats = self.addressing.vunrank(indices)
-            return self.graph.vgamma_variables(mats)
+        mats = self.addressing.vunrank(np.asarray(indices, dtype=np.int64))
+        return self.graph.vgamma_variables(mats)
 
     def placement_for(
         self, indices: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(modules, slots)`` -- both ``(V, q+1)`` -- for the requested
         variables, fully vectorized (Lemma 1 + Lemma 4)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        if not _obs.enabled():
-            return self.addressing.vlocate(indices)
-        with self._observe_placement(indices.size, slots=True):
-            return self.addressing.vlocate(indices)
-
-    def _observe_placement(self, count: int, slots: bool):
-        """Span + metrics wrapper for the address-computation paths."""
-        if _obs.metrics_enabled():
-            _obs.metrics().counter("address.placement_calls").inc()
-        return _obs.span("address.placement", count=int(count), slots=slots)
+        return self.addressing.vlocate(np.asarray(indices, dtype=np.int64))
 
     # -- storage -----------------------------------------------------------
 
@@ -187,16 +165,11 @@ class PPScheme:
         indices = np.asarray(indices, dtype=np.int64)
         if not all_distinct(indices):
             raise ValueError("requests must address distinct variables")
-        led = _obs.ledger() if _obs.enabled() else None
-        if led is not None:
-            gf0 = led.gf.as_dict()
         if op == "count":
             modules = self.module_ids_for(indices)
             slots = None
         else:
             modules, slots = self.placement_for(indices)
-        if led is not None:
-            led.note_addressing(int(indices.size), gf0)
         return run_access_protocol(
             modules,
             self.N,

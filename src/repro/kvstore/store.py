@@ -242,20 +242,12 @@ class ParallelKVStore:
         claim = np.full(B, -1, dtype=np.int64)
         offset = np.zeros(B, dtype=np.int64)
         home = self._home(fps)
-        obs_on = _obs.enabled()
         rounds = 0
         with _obs.span("kvstore.probe", batch=int(B)) as sp:
             for _ in range(self.capacity + 1):
                 if not pending.any():
                     break
                 idx = np.nonzero(pending)[0]
-                if obs_on:
-                    _obs.tracer().event(
-                        "kvstore.probe_round", round=rounds,
-                        pending=int(idx.size),
-                    )
-                    if _obs.metrics_enabled():
-                        _obs.metrics().counter("kvstore.probe_rounds").inc()
                 rounds += 1
                 cur = (home[idx] + offset[idx]) % self.capacity
                 got = self._read_vars(2 * cur, engine=engine)
@@ -277,11 +269,6 @@ class ParallelKVStore:
                 raise RuntimeError("table full: probe chain exhausted capacity")
             sp.add(rounds=rounds)
         return found, slot, claim
-
-    def _observe_op(self, op: str, n_keys: int) -> None:
-        """Entry hook for the public batch operations (self-guarded)."""
-        if _obs.enabled():
-            _obs.tracer().event("kvstore.op", op=op, keys=n_keys)
 
     def _emit(
         self, op: str, keys: Sequence[int | str], values: np.ndarray
@@ -306,7 +293,6 @@ class ParallelKVStore:
         Returns a stats dict (inserted, updated, protocol rounds used).
         ``engine`` overrides the store default executor for this batch.
         """
-        self._observe_op("put", len(keys))
         values = np.asarray(values, dtype=np.int64)
         if len(keys) != values.shape[0]:
             raise ValueError("keys and values must have equal length")
@@ -368,7 +354,6 @@ class ParallelKVStore:
 
         ``engine`` overrides the store default executor for this batch.
         """
-        self._observe_op("get", len(keys))
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
@@ -387,7 +372,6 @@ class ParallelKVStore:
 
         ``engine`` overrides the store default executor for this batch.
         """
-        self._observe_op("delete", len(keys))
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")

@@ -16,7 +16,7 @@ checkers.
 | D1 | ``set-iteration`` | core, mpc, schemes, pgl, gf, kvstore | set iteration order is arbitrary; deterministic zones sort before iterating (protocol schedules and coset enumerations must replay bit-identically) |
 | D2 | ``unseeded-randomness`` | all (workloads/faults: module level only) | entropy enters only through explicit seeds; no wall-clock reads into simulation state |
 | D3 | ``float-arithmetic`` | gf, pgl, core/engine.py | field/coset arithmetic and the batch-engine round loops stay in exact integers -- no float literals, ``float()``, or true division |
-| D4 | ``unguarded-obs`` | core, mpc, schemes, pgl, gf, kvstore, service | instrumentation emission sits behind the single ``obs.enabled()`` guard (the <5% overhead budget); only ``repro.obs`` publishes to the bus |
+| D4 | ``obs-api`` | core, mpc, schemes, pgl, gf, kvstore, service | code calls ``repro.obs`` only through ``span``, ``emit``, ``enabled``, the ``set_*`` installers and the record types; every other view (tracer, metrics, ledger, bus) is derived inside ``repro.obs`` from the batch records |
 | D5 | ``mutable-shared-state`` | all | no mutable default args; no module-level mutable accumulators coupling independent runs |
 | D6 | ``exception-hygiene`` | core, mpc, kvstore, schemes (+global swallow check) | no bare/broad excepts on protocol paths; ``QuorumLostError`` is never swallowed |
 

@@ -11,7 +11,7 @@ registry.
 | D1 | set-iteration        | no order-sensitive iteration over sets in deterministic zones |
 | D2 | unseeded-randomness  | no unseeded RNG / wall-clock calls outside workload+fault plan code |
 | D3 | float-arithmetic     | no float literals / true division in field + coset algebra |
-| D4 | unguarded-obs        | instrumentation emission must sit behind an ``enabled()`` guard |
+| D4 | obs-api              | deterministic code calls only ``obs.span`` / ``emit`` / ``enabled`` / ``set_*`` and the record types |
 | D5 | mutable-shared-state | no mutable default args / module-level mutable accumulators |
 | D6 | exception-hygiene    | no broad/bare excepts in protocol paths; never swallow QuorumLostError |
 """
@@ -34,7 +34,7 @@ __all__ = [
     "SetIterationRule",
     "UnseededRandomnessRule",
     "FloatArithmeticRule",
-    "UnguardedObservabilityRule",
+    "ObservabilityApiRule",
     "MutableSharedStateRule",
     "ExceptionHygieneRule",
 ]
@@ -475,238 +475,60 @@ class FloatArithmeticRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# D4 -- unguarded observability emission
+# D4 -- observability through the emission API only
 
 
-_EMITTING_ATTRS = frozenset(
-    {"event", "counter", "gauge", "histogram", "publish"}
-)
-
-#: emission methods of the bound-accounting ledger (repro.obs.ledger);
-#: only flagged on names bound from ``obs.ledger()``, so ordinary
-#: ``.count(...)`` calls on lists/strings never match
-_LEDGER_EMITTING_ATTRS = frozenset(
-    {"count", "note_addressing", "record_batch"}
-)
+#: what deterministic code may call on :mod:`repro.obs`: the two
+#: self-guarded emission helpers, the guard, the installers and the
+#: record types
+_OBS_API = frozenset({
+    "span", "emit", "enabled", "set_bus", "set_tracer", "set_ledger",
+    "BatchRecord", "KvRecord",
+})
 
 
 @register
-class UnguardedObservabilityRule(Rule):
-    """D4: instrumentation emission (metrics increments, trace events)
-    must sit behind the single :func:`repro.obs.enabled` switchboard
-    guard, so the healthy hot path pays one boolean check and nothing
-    else -- the <5% overhead budget of ``tests/obs/test_overhead.py``
-    depends on it.  ``obs.span(...)`` and ``obs.emit(...)`` guard
-    themselves and are exempt.  Only :mod:`repro.obs` publishes (a batch
-    reaches the bus as the record it hands to ``obs.emit``), so
-    ``obs.publish`` / ``obs.bus().publish`` are flagged, guarded or not.
-
-    Ledger emissions (``led.count`` / ``note_addressing`` /
-    ``record_batch`` on a name bound from
-    ``obs.ledger()``) follow the same contract; the idiomatic
-    ``led = obs.ledger() if obs.enabled() else None`` + ``if led is not
-    None:`` pattern counts as guarded, since a non-None ledger implies
-    ``enabled()`` was True."""
+class ObservabilityApiRule(Rule):
+    """D4: deterministic code reaches observability only through
+    ``obs.span``, ``obs.emit``, the ``obs.enabled`` guard, the ``set_*``
+    installers and the record types.  ``span`` and ``emit`` guard
+    themselves, so the disabled hot path pays one boolean check per site
+    (the <5% budget of ``tests/obs/test_overhead.py``); every other view
+    -- trace events, metrics, the ledger, the bus -- is derived inside
+    :mod:`repro.obs` from the batch records.  Any other call into
+    ``repro.obs`` (``tracer()``, ``metrics()``, ``metrics_enabled()``,
+    ``ledger()``, ``bus()``, ``publish``) is a finding, guarded or not."""
 
     id = "D4"
-    name = "unguarded-obs"
+    name = "obs-api"
     zones = DETERMINISTIC_ZONES
     rationale = (
-        "hot-path instrumentation must collapse to one enabled() check "
-        "when observability is off"
+        "a batch is described once, by the record handed to obs.emit; a "
+        "side channel restates it and costs the disabled path"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag publishing, and obs emissions with no ``enabled()`` guard."""
-        obs_aliases = _module_aliases(ctx.tree, "repro.obs")
-        if not obs_aliases:
+        """Flag every call into ``repro.obs`` outside :data:`_OBS_API`."""
+        aliases = _module_aliases(ctx.tree, "repro.obs")
+        imported = _imported_names(ctx.tree, "repro.obs")
+        if not aliases and not imported:
             return
-        guard_names = self._guard_names(ctx.tree, obs_aliases)
-        tracer_names = self._assigned_from(ctx.tree, obs_aliases, "tracer")
-        metrics_names = self._assigned_from(ctx.tree, obs_aliases, "metrics")
-        bus_names = self._assigned_from(ctx.tree, obs_aliases, "bus")
-        ledger_names = self._assigned_from(ctx.tree, obs_aliases, "ledger")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            target = self._emission_target(
-                node, obs_aliases, tracer_names, metrics_names, bus_names,
-                ledger_names,
-            )
-            if target is None:
+            func = node.func
+            if _is_attr_of(func, aliases):
+                attr = func.attr
+            elif isinstance(func, ast.Name) and func.id in imported:
+                attr = imported[func.id]
+            else:
                 continue
-            if target.endswith("publish"):
+            if attr not in _OBS_API:
                 yield ctx.finding(
                     self, node,
-                    f"{target} outside repro.obs; hand the batch record to "
-                    "obs.emit instead",
+                    f"obs.{attr}() outside repro.obs; describe the batch "
+                    "in the record handed to obs.emit, or open an obs.span",
                 )
-                continue
-            # a name holding obs.ledger() is None unless enabled() held,
-            # so 'if led is not None:' is as strong as the guard itself
-            if self._guarded(ctx, node, guard_names | ledger_names):
-                continue
-            yield ctx.finding(
-                self, node,
-                f"{target} emission not guarded by obs.enabled(); wrap in "
-                "'if obs.enabled():' (or early-return on tracer.enabled)",
-            )
-
-    @staticmethod
-    def _assigned_from(
-        tree: ast.Module, obs_aliases: set[str], attr: str
-    ) -> set[str]:
-        """Names bound from ``<obs>.tracer()`` / ``.metrics()`` /
-        ``.bus()`` / ``.ledger()``, directly, through a conditional
-        expression (``led = obs.ledger() if obs.enabled() else None``),
-        through a walrus binding (``if (m := obs.metrics()):``), or onto
-        an attribute chain (``self._led = obs.ledger()`` -> tracks
-        ``self._led``).
-        """
-        out: set[str] = set()
-        for node in ast.walk(tree):
-            targets: list[ast.expr]
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.NamedExpr):
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            values = [value]
-            if isinstance(value, ast.IfExp):
-                values = [value.body, value.orelse]
-            for v in values:
-                if (
-                    isinstance(v, ast.Call)
-                    and _is_attr_of(v.func, obs_aliases)
-                    and v.func.attr == attr
-                ):
-                    for tgt in targets:
-                        name = _call_name(tgt)
-                        if name is not None:
-                            out.add(name)
-        return out
-
-    @staticmethod
-    def _guard_names(tree: ast.Module, obs_aliases: set[str]) -> set[str]:
-        """Names bound from ``<obs>.enabled()``-style guard reads --
-        plain names, walrus bindings, and attribute chains
-        (``self._on = obs.enabled()`` tracks ``self._on``)."""
-        out: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.NamedExpr):
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if (
-                isinstance(value, ast.Call)
-                and _is_attr_of(value.func, obs_aliases)
-                and "enabled" in value.func.attr
-            ):
-                for tgt in targets:
-                    name = _call_name(tgt)
-                    if name is not None:
-                        out.add(name)
-        return out
-
-    def _emission_target(
-        self,
-        node: ast.Call,
-        obs_aliases: set[str],
-        tracer_names: set[str],
-        metrics_names: set[str],
-        bus_names: set[str],
-        ledger_names: set[str],
-    ) -> str | None:
-        func = node.func
-        if _is_attr_of(func, obs_aliases):
-            if func.attr == "on_mpc_step":
-                return "obs.on_mpc_step"
-            if func.attr == "metrics":
-                return "obs.metrics()"
-            if func.attr == "publish":
-                return "obs.publish"
-            return None
-        if isinstance(func, ast.Attribute) and func.attr in _EMITTING_ATTRS:
-            base = func.value
-            if isinstance(base, ast.NamedExpr):
-                base = base.value  # (tr := obs.tracer()).event(...)
-            # _obs.tracer().event(...) inline chain
-            if (
-                isinstance(base, ast.Call)
-                and _is_attr_of(base.func, obs_aliases)
-                and base.func.attr in ("tracer", "metrics", "bus")
-            ):
-                return f"obs.{base.func.attr}().{func.attr}"
-            # tr.event(...) on a name (or self.attr chain) bound from
-            # obs.tracer()/metrics()/bus()
-            base_name = _call_name(base)
-            if base_name is not None and base_name in (
-                tracer_names | metrics_names | bus_names
-            ):
-                return f"{base_name}.{func.attr}"
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _LEDGER_EMITTING_ATTRS
-        ):
-            base = func.value
-            if isinstance(base, ast.NamedExpr):
-                base = base.value  # (led := obs.ledger()).count(...)
-            # _obs.ledger().count(...) inline chain
-            if (
-                isinstance(base, ast.Call)
-                and _is_attr_of(base.func, obs_aliases)
-                and base.func.attr == "ledger"
-            ):
-                return f"obs.ledger().{func.attr}"
-            # led.count(...) on a name (or self.attr chain) bound from
-            # obs.ledger()
-            base_name = _call_name(base)
-            if base_name is not None and base_name in ledger_names:
-                return f"{base_name}.{func.attr}"
-        return None
-
-    def _guarded(
-        self, ctx: FileContext, node: ast.AST, guard_names: set[str]
-    ) -> bool:
-        # (a) enclosed in an if/while/ternary whose test mentions a guard
-        for anc in ctx.ancestors(node):
-            if isinstance(anc, (ast.If, ast.IfExp, ast.While)):
-                if self._test_mentions_guard(anc.test, guard_names):
-                    return True
-        # (b) an earlier early-return guard in the same function:
-        #     if not tr.enabled: return
-        fn = ctx.enclosing_function(node)
-        if fn is not None:
-            line = getattr(node, "lineno", 0)
-            for stmt in ast.walk(fn):
-                if (
-                    isinstance(stmt, ast.If)
-                    and getattr(stmt, "lineno", 10**9) < line
-                    and self._test_mentions_guard(stmt.test, guard_names)
-                    and stmt.body
-                    and isinstance(stmt.body[-1], (ast.Return, ast.Raise))
-                ):
-                    return True
-        return False
-
-    @staticmethod
-    def _test_mentions_guard(test: ast.expr, guard_names: set[str]) -> bool:
-        for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute):
-                if "enabled" in sub.attr:
-                    return True
-                if _call_name(sub) in guard_names:
-                    return True
-            if isinstance(sub, ast.Name) and (
-                "enabled" in sub.id or sub.id in guard_names
-            ):
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------

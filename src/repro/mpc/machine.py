@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.obs as _obs
 from repro.mpc.arbitration import Arbiter, make_arbiter
 from repro.mpc.stats import MPCStats
 
@@ -96,8 +95,6 @@ class MPC:
         if module_ids.size == 0:
             # An idle step still advances time.
             self.stats.record_step(0, 0, 0)
-            if _obs.enabled():
-                _obs.on_mpc_step(0, 0, 0)
             return np.empty(0, dtype=np.int64)
         if np.any((module_ids < 0) | (module_ids >= self.n_modules)):
             raise ValueError("request addresses a nonexistent module")
@@ -114,8 +111,6 @@ class MPC:
                 # every addressed module is silent: an empty step
                 congestion = max_multiplicity(module_ids)
                 self.stats.record_step(module_ids.size, 0, congestion)
-                if _obs.enabled():
-                    _obs.on_mpc_step(int(module_ids.size), 0, congestion)
                 return np.empty(0, dtype=np.int64)
             winners = idx_open[self.arbiter(module_ids[idx_open])]
         # contract check: winners hit distinct modules
@@ -125,8 +120,6 @@ class MPC:
         if not all_distinct(served_mods):
             raise AssertionError("arbiter served a module twice in one step")
         self.stats.record_step(module_ids.size, winners.size, congestion)
-        if _obs.enabled():
-            _obs.on_mpc_step(int(module_ids.size), int(winners.size), congestion)
         return winners
 
     def step_scalar(
@@ -150,8 +143,6 @@ class MPC:
         if k == 0:
             # An idle step still advances time.
             self.stats.record_step(0, 0, 0)
-            if _obs.enabled():
-                _obs.on_mpc_step(0, 0, 0)
             return []
         counts: dict[int, int] = {}
         for m in ids:
@@ -170,8 +161,6 @@ class MPC:
             if not open_pos:
                 # every addressed module is silent: an empty step
                 self.stats.record_step(k, 0, congestion)
-                if _obs.enabled():
-                    _obs.on_mpc_step(k, 0, congestion)
                 return []
         prio = self.arbiter.priorities(len(open_pos))
         best: dict[int, tuple[int, int]] = {}
@@ -183,8 +172,6 @@ class MPC:
                 best[m] = (pr, p)
         winners = [best[m][1] for m in sorted(best)]
         self.stats.record_step(k, len(winners), congestion)
-        if _obs.enabled():
-            _obs.on_mpc_step(k, len(winners), congestion)
         return winners
 
     def reset(self) -> None:

@@ -2,11 +2,14 @@
 
 Everything the paper's bounds are about is a counted quantity --
 iterations, congestion, served copies, address-computation cost.  This
-package gives those counts one export path.  It is **off by default**
-and instrumented hot paths are guarded by a single cheap
-:func:`enabled` check, so a run with observability disabled pays
-(measurably, see ``tests/obs/test_overhead.py``) under 5% overhead --
-in practice well under 1%.
+package gives those counts one export path.  It is **off by default**.
+Code outside this package reaches it only through :func:`span`,
+:func:`emit`, :func:`enabled` and the ``set_*`` installers (lint rule
+D4); ``span`` and ``emit`` collapse to one flag check when it is off,
+so a run with observability disabled pays (measurably, see
+``tests/obs/test_overhead.py``) under 5% overhead -- in practice well
+under 1%.  Every view (trace events, metrics, ledger, bus) is derived
+here from the batch records.
 
 ### Switchboard
 
@@ -30,7 +33,8 @@ in practice well under 1%.
 - :func:`publish` -- push one named event onto the bus (if installed);
   the bus leg of :func:`emit`, called nowhere else (lint rule D4).
 - :func:`enabled` -- True iff metrics, tracing, a bus, or a ledger is
-  active; the guard every instrumentation site checks first.
+  active; the two record builders check it before copying a record's
+  columns.
 - :func:`collect` -- context manager that enables both for a block and
   restores the previous state.
 
@@ -38,16 +42,12 @@ in practice well under 1%.
 
 | name | kind | meaning |
 |---|---|---|
-| ``scheme.builds`` | counter | :class:`~repro.core.scheme.PPScheme` constructions |
-| ``address.placement_calls`` | counter | vectorized address computations (unrank + Lemma 1/4) |
-| ``address.unranks`` | counter | scalar O(log N) unrank calls |
 | ``protocol.accesses{op=...}`` | counter | protocol batches run, labeled by op |
 | ``protocol.iterations`` | counter | total protocol iterations across batches |
 | ``protocol.phase_iterations`` | histogram | per-phase iteration distribution |
-| ``mpc.steps`` / ``mpc.requests`` / ``mpc.served`` | counter | machine step/request/serve totals |
+| ``mpc.steps`` / ``mpc.requests`` / ``mpc.served`` | counter | machine step/request/serve totals, from each batch's ``MPCStats`` |
 | ``mpc.max_congestion`` | gauge | high-watermark of same-step module congestion |
 | ``kvstore.ops{op=...}`` | counter | kvstore batch operations (put/get/delete) |
-| ``kvstore.probe_rounds`` | counter | hash-probe protocol rounds |
 | ``protocol.lost_variables`` | counter | variables that lost their majority quorum (degraded mode) |
 | ``faults.scenarios{model=...}`` | counter | campaign scenario runs, labeled by fault model |
 | ``faults.lost`` | counter | quorum losses observed across campaign scenarios |
@@ -78,14 +78,9 @@ JSONL, one object per line; every record has ``type`` ("span"/"event"),
 | name | type | fields |
 |---|---|---|
 | ``scheme.build`` | span | ``q, n, N, M, addressing`` |
-| ``address.placement`` | span | ``count, slots`` (slots: bool -- Lemma-4 slots computed too) |
-| ``address.vunrank`` | span | ``count`` |
-| ``protocol.access`` | span | ``op, requests, q, phases, total_iterations`` |
+| ``protocol.access`` | span | ``op, requests, q, phases, engine, total_iterations, mpc_steps, mpc_requests, mpc_served, mpc_max_congestion`` (the batch's machine totals) |
 | ``protocol.phase`` | span | ``phase, variables, iterations, live_history`` (the R_k trajectory) |
-| ``mpc.step`` | event | ``requests, served, congestion`` |
-| ``kvstore.op`` | event | ``op, keys`` |
 | ``kvstore.probe`` | span | ``batch, rounds`` |
-| ``kvstore.probe_round`` | event | ``round, pending`` |
 | ``faults.campaign`` | span | ``qs, models, violations`` |
 | ``faults.threshold`` | span | ``q`` (one adversarial ladder) |
 | ``faults.scenario`` | span | ``q, model, intensity`` |
@@ -99,9 +94,10 @@ A batch reports once, as one record handed to :func:`emit`: a
 :class:`~repro.obs.record.BatchRecord` per protocol batch, a
 :class:`~repro.obs.record.KvRecord` per kvstore batch operation.  The
 tracer expands it into the ``mem.op`` / ``kv.op`` rows above (then
-``ledger.batch`` while a ledger is installed), the ledger and the
-``protocol.*`` / ``kvstore.ops`` metrics count it, and the bus carries
-the record itself -- the bus's only two event kinds, never traced:
+``ledger.batch`` while a ledger is installed), the ledger keeps it, the
+``protocol.*`` / ``mpc.*`` / ``kvstore.ops`` metrics count it, and the
+bus carries the record itself -- the bus's only two event kinds, never
+traced:
 
 | name | fields |
 |---|---|
@@ -110,13 +106,16 @@ the record itself -- the bus's only two event kinds, never traced:
 
 ### Overhead guarantees
 
-With observability disabled every instrumentation site reduces to one
-``enabled()`` call returning False (hot loops hoist even that out);
+With observability disabled every :func:`span` and :func:`emit` site
+reduces to one flag check (the record builders hoist an
+:func:`enabled` call instead, to skip the column copies);
 ``tests/obs/test_overhead.py`` measures the per-guard cost, counts the
 sites exercised by a full-load (q=2, n=7) batch, and asserts the total
 is below 5% of the batch's wall time.  With a tracer installed, the
 emitted per-phase iteration counts equal ``AccessResult`` exactly
-(round-trip test in ``tests/obs/test_trace.py``).
+(round-trip test in ``tests/obs/test_trace.py``), and results are the
+same with every backend installed as with none
+(``tests/obs/test_neutrality.py``).
 
 ### Surfacing
 
@@ -191,7 +190,6 @@ __all__ = [
     "enabled",
     "collect",
     "span",
-    "on_mpc_step",
 ]
 
 #: Emit docs/API.md with this module's full docstring (it is the
@@ -322,6 +320,11 @@ def emit(rec: BatchRecord | KvRecord) -> None:
                 hist.observe(p.iterations)
             if rec.n_lost:
                 m.counter("protocol.lost_variables").inc(rec.n_lost)
+            st = rec.stats
+            m.counter("mpc.steps").inc(st.steps)
+            m.counter("mpc.requests").inc(st.requests)
+            m.counter("mpc.served").inc(st.served)
+            m.gauge("mpc.max_congestion").update_max(st.max_congestion)
         else:
             m.counter("kvstore.ops", op=rec.op).inc()
     if led is not None:
@@ -363,15 +366,3 @@ def span(name: str, **fields: object) -> Iterator[Any]:
     with _tracer.span(name, **fields) as sp:
         yield sp
 
-
-def on_mpc_step(requests: int, served: int, congestion: int) -> None:
-    """Hook for :meth:`repro.mpc.machine.MPC.step`; callers must check
-    :func:`enabled` first."""
-    if _metrics_on:
-        _REGISTRY.counter("mpc.steps").inc()
-        _REGISTRY.counter("mpc.requests").inc(requests)
-        _REGISTRY.counter("mpc.served").inc(served)
-        _REGISTRY.gauge("mpc.max_congestion").update_max(congestion)
-    _tracer.event(
-        "mpc.step", requests=requests, served=served, congestion=congestion
-    )

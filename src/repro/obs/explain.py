@@ -165,8 +165,8 @@ def _measure_run(
         _obs.set_ledger(prev)
     rounds = sum(rec.rounds for rec in led.batches)
     phi = max((rec.phi for rec in led.batches), default=0)
-    computed = led.counters.get("addr.computed", 0)
-    ops = led.addressing_ops
+    computed = led.counters["addr.computed"]
+    ops = led.gf  # the protocol does no field arithmetic: all addressing
     weighted = ops.add + ops.mul + ops.exp + ops.dlog * _dlog_weight(scheme)
     addr_field_ops = (weighted / computed) if computed else 0.0
     cong = led.congestion_summary()

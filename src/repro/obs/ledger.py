@@ -7,25 +7,26 @@ on-the-fly address (Theorem 8), at most one access per module per round
 those envelopes.  The :class:`Ledger` counts them: while installed (via
 :func:`repro.obs.set_ledger`) it
 
-* tallies the bound quantities -- protocol rounds per batch, ``Phi``
-  (max phase iterations), retries, quorum sizes, addresses computed
-  (table-lookup vs on-the-fly), and GF(2^m) field operations by cost
-  class (through the :mod:`repro.gf.opcount` sink it installs);
-* pools the per-round module-congestion *distribution* (the
-  :class:`~repro.obs.metrics._QuantileSketch` kept by
-  :class:`~repro.mpc.stats.MPCStats`), not just the scalar max.
+* keeps every protocol batch's :class:`~repro.obs.record.BatchRecord`
+  (handed over by :func:`repro.obs.emit`) and derives the bound
+  quantities from them -- protocol rounds per batch, ``Phi`` (max phase
+  iterations), retries, quorum sizes, addresses computed -- and the
+  pooled per-round module-congestion *distribution* (the
+  :class:`~repro.obs.metrics._QuantileSketch` of each batch's
+  :class:`~repro.mpc.stats.MPCStats`), not just the scalar max;
+* tallies GF(2^m) field operations by cost class through the
+  :mod:`repro.gf.opcount` sink it installs.  The protocol does no field
+  arithmetic, so this one tally is the addressing work (Theorem 8's
+  quantity); ``tests/obs/test_ledger.py`` pins that invariant.
 
 Every tally is an exact integer, identical across runs of the same
 workload.  The ledger reads no clock: seconds, per layer and end to
 end, come from the repo benchmark (``bench/run.py``).
 
-Instrumentation sites follow the switchboard contract: they check
-``obs.enabled()`` (or equivalently that :func:`repro.obs.ledger`
-returned a non-``None`` object -- a ledger can only be reached while
-installed, and installing one flips ``enabled()``), so the disabled
-path stays within the <5% budget of ``tests/obs/test_overhead.py``.
-Batches arrive as :class:`~repro.obs.record.BatchRecord` s from
-:func:`repro.obs.emit`; the ledger never publishes.
+Switchboard contract: nothing outside :mod:`repro.obs` calls the
+ledger.  It sees a batch only as the record :func:`repro.obs.emit`
+hands it, so no instrumentation site needs a guard of its own, and the
+ledger never publishes.
 
 The checking side lives in :mod:`repro.core.bounds`
 (:class:`~repro.core.bounds.BoundRegistry`) and the driver/renderer in
@@ -52,9 +53,6 @@ class Ledger:
 
     def __init__(self) -> None:
         self.gf = GFOpSink()  # every field op while installed
-        self.addressing_ops = GFOpSink()  # slice spent computing addresses
-        self.congestion = _QuantileSketch()  # pooled per-step congestion
-        self.counters: dict[str, int] = {}
         self.batches: list[BatchRecord] = []
         self._prev_sink: GFOpSink | None = None
 
@@ -69,54 +67,46 @@ class Ledger:
         set_op_sink(self._prev_sink)
         self._prev_sink = None
 
-    # -- emission sites -------------------------------------------------
-
-    def count(self, name: str, delta: int = 1) -> None:
-        """Add ``delta`` to the named integer tally."""
-        self.counters[name] = self.counters.get(name, 0) + int(delta)
-
-    def note_addressing(self, count: int, gf_before: dict[str, int]) -> None:
-        """Fold one address-computation block into the ledger.
-
-        ``gf_before`` is ``self.gf.as_dict()`` snapshotted before the
-        block; the delta is the field work attributable to addressing
-        (Theorem 8's quantity).  The table-hit vs on-the-fly split is
-        counted inside the addressing layers themselves
-        (``addr.on_the_fly`` / ``addr.table``).
-        """
-        self.count("addr.computed", count)
-        cur = self.gf.as_dict()
-        self.addressing_ops.add += cur["add"] - gf_before["add"]
-        self.addressing_ops.mul += cur["mul"] - gf_before["mul"]
-        self.addressing_ops.dlog += cur["dlog"] - gf_before["dlog"]
-        self.addressing_ops.exp += cur["exp"] - gf_before["exp"]
-
     def record_batch(self, rec: BatchRecord) -> None:
-        """Close out one protocol batch: tally its bound quantities and
-        pool its congestion sketch into the run-wide distribution."""
-        self.count("protocol.batches")
-        self.count("protocol.rounds", rec.rounds)
-        self.count("protocol.retries", rec.retries)
-        self.count("protocol.quorum_copies", rec.majority)
-        self.congestion.merge(rec.stats.congestion)
+        """Keep one protocol batch's record (called by :func:`repro.obs.emit`)."""
         self.batches.append(rec)
 
-    # -- totals ---------------------------------------------------------
+    # -- totals, derived from the kept records --------------------------
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """The run's integer tallies, summed over the kept batches."""
+        b = self.batches
+        return {
+            "addr.computed": sum(rec.requests for rec in b),
+            "protocol.batches": len(b),
+            "protocol.quorum_copies": sum(rec.majority for rec in b),
+            "protocol.retries": sum(rec.retries for rec in b),
+            "protocol.rounds": sum(rec.rounds for rec in b),
+        }
+
+    @property
+    def congestion(self) -> _QuantileSketch:
+        """Per-step module congestion pooled over the kept batches."""
+        pooled = _QuantileSketch()
+        for rec in self.batches:
+            pooled.merge(rec.stats.congestion)
+        return pooled
 
     def congestion_summary(self) -> dict[str, float | None]:
         """p50/p95/max of the pooled per-step congestion distribution."""
+        pooled = self.congestion
         return {
-            "p50": self.congestion.quantile(0.5),
-            "p95": self.congestion.quantile(0.95),
-            "max": self.congestion.quantile(1.0),
+            "p50": pooled.quantile(0.5),
+            "p95": pooled.quantile(0.95),
+            "max": pooled.quantile(1.0),
         }
 
     def snapshot(self) -> dict[str, object]:
         """Plain-dict view: counters, field ops, congestion, batches."""
         return {
-            "counters": dict(sorted(self.counters.items())),
+            "counters": self.counters,
             "gf_ops": self.gf.as_dict(),
-            "addressing_ops": self.addressing_ops.as_dict(),
             "congestion": self.congestion_summary(),
             "batches": [rec.ledger_fields() for rec in self.batches],
         }
@@ -124,7 +114,4 @@ class Ledger:
     def reset(self) -> None:
         """Forget every count and batch (sink stays installed)."""
         self.gf.reset()
-        self.addressing_ops.reset()
-        self.congestion.reset()
-        self.counters.clear()
         self.batches.clear()

@@ -12,7 +12,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-import repro.obs as _obs
 from repro.core.protocol import AccessResult, run_access_protocol
 from repro.mpc.machine import all_distinct
 
@@ -146,16 +145,11 @@ class MemoryScheme(ABC):
         indices = np.asarray(indices, dtype=np.int64)
         if not all_distinct(indices):
             raise ValueError("requests must address distinct variables")
-        led = _obs.ledger() if _obs.enabled() else None
-        if led is not None:
-            gf0 = led.gf.as_dict()
         if op in ("read", "write"):
             modules, slots = self.placement_and_slots(indices)
         else:
             modules, slots = self.placement(indices), None
         quorum = self.quorum_for(count_as or op)
-        if led is not None:
-            led.note_addressing(int(indices.size), gf0)
         return run_access_protocol(
             modules,
             self.N,

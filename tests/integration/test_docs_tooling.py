@@ -40,7 +40,7 @@ class TestApiDocGenerator:
         assert "### Metric names" in text
         assert "### Trace event schema" in text
         assert "protocol.phase_iterations" in text
-        assert "kvstore.probe_round" in text
+        assert "mpc_max_congestion" in text  # a protocol.access field
 
 
 class TestDocsPresent:

@@ -27,7 +27,9 @@ class TestAccessTraceOut:
         assert "trace:" in captured.err and path in captured.err
         events = read_jsonl(path)
         names = {e["name"] for e in events}
-        assert {"protocol.access", "protocol.phase", "mpc.step"} <= names
+        assert {"protocol.access", "protocol.phase"} <= names
+        (acc,) = [e for e in events if e["name"] == "protocol.access"]
+        assert acc["mpc_steps"] >= 1
 
     def test_trace_matches_reported_iterations(self, capsys, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -59,11 +61,10 @@ class TestMetricsCommand:
     def test_prints_valid_json(self, capsys):
         assert main(["metrics", "-q", "2", "-n", "3", "--count", "32"]) == 0
         snap = json.loads(capsys.readouterr().out)
-        for key in ("scheme.builds", "protocol.iterations", "mpc.steps",
+        for key in ("protocol.iterations", "mpc.steps",
                     "protocol.accesses{op=count}",
                     "protocol.phase_iterations"):
             assert key in snap, key
-        assert snap["scheme.builds"]["value"] == 1
         assert snap["mpc.steps"]["value"] >= 1
 
     def test_restores_disabled_state(self):
@@ -104,3 +105,16 @@ class TestTraceReportTool:
         proc = self.run_tool(str(path))
         assert proc.returncode == 2
         assert "no protocol.access" in proc.stderr
+
+    def test_access_without_mpc_totals_exits_2(self, tmp_path):
+        # the machine summary reads the access span's MPC totals; a
+        # trace that lost them must fail, not print zeros
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"type": "span", "name": "protocol.access", "seq": 1, "ts": 0,'
+            ' "dur": 0, "op": "count", "requests": 1, "q": 2, "phases": 3,'
+            ' "total_iterations": 3}\n'
+        )
+        proc = self.run_tool(str(path))
+        assert proc.returncode == 2
+        assert "lacks its MPC totals" in proc.stderr

@@ -5,11 +5,11 @@ clock fields (``ts``, ``dur``) stripped:
 
 * ``pp2_3_write_read.jsonl`` -- a PPScheme(2, 3) write then read under
   a :class:`~repro.obs.trace.RecordingTracer` with a ledger installed
-  (spans, ``mpc.step``, ``mem.op`` and ``ledger.batch`` events);
+  (spans, ``mem.op`` and ``ledger.batch`` events);
 * ``kvstore_put_get_delete.jsonl`` -- a ``ParallelKVStore``
   put/get/delete sequence under a
-  :class:`~repro.conformance.recorder.TraceRecorder` (``kvstore.*``
-  spans and events, ``mem.op`` and ``kv.op``).
+  :class:`~repro.conformance.recorder.TraceRecorder` (``kvstore.probe``
+  and protocol spans, ``mem.op`` and ``kv.op`` events).
 
 Any change to event names, fields, field order or emission order shows
 up here line for line.  Regenerate (only for an intended schema change)

@@ -5,8 +5,10 @@ Reads a trace recorded with ``python -m repro access --trace-out FILE``
 (or any :class:`repro.obs.trace.RecordingTracer` dump) and renders, for
 every ``protocol.access`` span, the per-phase iteration table of
 EXPERIMENTS.md E06: phase, variables, iterations, live-variable
-trajectory endpoints, and wall time.  MPC step events are folded into a
-served/congestion summary per access.
+trajectory endpoints, and wall time, then the access's machine summary
+(steps, requests, served, max congestion) from the span's MPC totals.
+Exits 2 on an unreadable trace, one without ``protocol.access`` spans,
+or an access span that lacks its MPC totals.
 
 Run:  python tools/trace_report.py TRACE.jsonl
 """
@@ -24,28 +26,29 @@ from repro.analysis.report import Table  # noqa: E402
 from repro.obs.trace import read_jsonl  # noqa: E402
 
 
+#: the machine summary's columns: header and ``protocol.access`` field
+MACHINE_FIELDS = (
+    ("MPC steps", "mpc_steps"),
+    ("requests", "mpc_requests"),
+    ("served", "mpc_served"),
+    ("max congestion", "mpc_max_congestion"),
+)
+
+
 def group_accesses(events: list[dict]) -> list[dict]:
-    """Attach phase spans and mpc.step events to their enclosing
-    ``protocol.access`` span.
+    """Attach phase spans to their enclosing ``protocol.access`` span.
 
     Spans are emitted at close (children precede parents), so walk the
     stream collecting children until their access span arrives.
     """
     accesses = []
     pending_phases: list[dict] = []
-    pending_steps: list[dict] = []
     for ev in events:
         if ev["name"] == "protocol.phase":
             pending_phases.append(ev)
-        elif ev["name"] == "mpc.step":
-            pending_steps.append(ev)
         elif ev["name"] == "protocol.access":
-            accesses.append(
-                {"access": ev, "phases": pending_phases,
-                 "steps": pending_steps}
-            )
+            accesses.append({"access": ev, "phases": pending_phases})
             pending_phases = []
-            pending_steps = []
     return accesses
 
 
@@ -70,17 +73,11 @@ def render_access(num: int, group: dict) -> list[Table]:
             hist[-1] if hist else "-",
             round(ph.get("dur", 0.0), 6),
         ])
-    steps = group["steps"]
     m = Table(
-        ["MPC steps", "requests", "served", "max congestion"],
+        [head for head, _ in MACHINE_FIELDS],
         title=f"access #{num}: machine summary",
     )
-    m.add_row([
-        len(steps),
-        sum(e.get("requests", 0) for e in steps),
-        sum(e.get("served", 0) for e in steps),
-        max((e.get("congestion", 0) for e in steps), default=0),
-    ])
+    m.add_row([acc[field] for _, field in MACHINE_FIELDS])
     return [t, m]
 
 
@@ -105,12 +102,20 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
     for i, group in enumerate(accesses):
+        missing = [f for _, f in MACHINE_FIELDS if f not in group["access"]]
+        if missing:
+            print(
+                f"error: protocol.access span #{i} in {args.trace!r} lacks "
+                f"its MPC totals ({', '.join(missing)})",
+                file=sys.stderr,
+            )
+            return 2
+    for i, group in enumerate(accesses):
         for t in render_access(i, group):
             t.print()
             print()
     other = [e["name"] for e in events
-             if e["name"] not in ("protocol.access", "protocol.phase",
-                                  "mpc.step")]
+             if e["name"] not in ("protocol.access", "protocol.phase")]
     if other:
         counts = {}
         for name in other:
