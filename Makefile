@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test bench examples docs perf perf-check coverage faults conform watch explain lint lint-flow typecheck serve soak all clean
+.PHONY: install test bench examples docs perf perf-check coverage faults conform watch explain lint typecheck serve soak all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -31,7 +31,7 @@ coverage:
 	$(PYTHON) tools/coverage_gate.py --fail-under 96.4 \
 		--min-package repro/faults=90 --min-package repro/gf=90 \
 		--min-package repro/conformance=90 --min-package repro/lint=90 \
-		--min-package repro/lint/flow=90 --min-package repro/network=95 \
+		--min-package repro/network=95 \
 		--report
 
 lint:
@@ -39,12 +39,6 @@ lint:
 		|| ($(PYTHON) tools/lint_report.py /tmp/repro-lint.json; exit 1)
 	$(PYTHON) tools/lint_report.py /tmp/repro-lint.json \
 		-o benchmarks/results/lint_report.md
-
-# Interprocedural tier only (F1-F4) -- fast feedback plus the
-# call-graph/module-dependency artifact
-lint-flow:
-	$(PYTHON) -m repro lint --tier flow \
-		--graph-out benchmarks/results/call_graph.json
 
 typecheck:
 	$(PYTHON) tools/typecheck.py

@@ -38,7 +38,7 @@ Subcommands
               the q/2+1 rollback *mid-run* and stay silent on the
               <= q/2 control, writing ``watch_attack.json``;
 ``lint``      determinism static analysis (:mod:`repro.lint`): runs the
-              D1-D6 AST ruleset over ``src/repro`` against the
+              D/F AST ruleset over ``src/repro`` against the
               committed ``.lint-baseline.json`` (non-zero exit on any
               new finding or stale baseline entry); ``--format
               json|md`` for machine/report output, ``--list-rules``
@@ -344,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--slack", type=float, default=1.25,
                     help="envelope-fit widening factor")
     sp.add_argument(
-        "--out", metavar="PATH",
-        default=os.path.join("benchmarks", "results", "explain_report.md"),
-        help="markdown report path ('-' to skip writing)",
+        "--out", metavar="PATH", default=None,
+        help="markdown report path ('-' to skip writing; default: "
+        "benchmarks/results/explain_report.md for a full run, no file "
+        "for --quick, so a quick run never overwrites the full report)",
     )
 
     sp = sub.add_parser("verify", help="run the instance self-checks")
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "lint",
-        help="determinism static analysis (rules D1-D6); "
+        help="determinism static analysis (rules D1-F4); "
         "non-zero exit on new findings",
     )
     from repro.lint.cli import add_lint_arguments
@@ -951,8 +952,11 @@ def _cmd_explain(args) -> int:
     from repro.obs.explain import run_explain, write_report
 
     res = run_explain(quick=args.quick, slack=args.slack)
-    if args.out != "-":
-        path = write_report(res, args.out)
+    out = args.out
+    if out is None and not args.quick:
+        out = os.path.join("benchmarks", "results", "explain_report.md")
+    if out not in (None, "-"):
+        path = write_report(res, out)
         print(f"report -> {path}", file=sys.stderr)
     nviol = len(res.check_violations)
     print(

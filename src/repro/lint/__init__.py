@@ -11,21 +11,33 @@ checkers.
 
 ### Rules
 
+One engine runs one rule list over one whole-program model, built once
+per run: per-file rules (D*) loop over its files, interprocedural rules
+(F*) read its symbol table, call graph and module-dependency graph.
+
 | id | name | zones | invariant protected |
 |----|------|-------|---------------------|
-| D1 | ``set-iteration`` | core, mpc, schemes, pgl, gf, kvstore | set iteration order is arbitrary; deterministic zones sort before iterating (protocol schedules and coset enumerations must replay bit-identically) |
-| D2 | ``unseeded-randomness`` | all (workloads/faults: module level only) | entropy enters only through explicit seeds; no wall-clock reads into simulation state |
+| D1 | ``set-iteration`` | core, mpc, schemes, pgl, gf, kvstore, service | set iteration order is arbitrary; deterministic zones sort before iterating (protocol schedules and coset enumerations must replay bit-identically) |
 | D3 | ``float-arithmetic`` | gf, pgl, core/engine.py | field/coset arithmetic and the batch-engine round loops stay in exact integers -- no float literals, ``float()``, or true division |
 | D4 | ``obs-api`` | core, mpc, schemes, pgl, gf, kvstore, service | code calls ``repro.obs`` only through ``span``, ``emit``, ``enabled``, the ``set_*`` installers and the record types; every other view (tracer, metrics, ledger, bus) is derived inside ``repro.obs`` from the batch records |
 | D5 | ``mutable-shared-state`` | all | no mutable default args; no module-level mutable accumulators coupling independent runs |
-| D6 | ``exception-hygiene`` | core, mpc, kvstore, schemes (+global swallow check) | no bare/broad excepts on protocol paths; ``QuorumLostError`` is never swallowed |
+| F1 | ``await-atomicity`` | service, conformance | a ``self`` attribute guard-tested before an ``await`` is re-validated before it is written after it |
+| F2 | ``determinism-taint`` | all (workloads/faults: module level only); call chains into deterministic zones | entropy enters only through explicit seeds; no wall-clock reads into simulation state; no unseeded draw or ``os.environ`` read reaches a deterministic zone through a call edge |
+| F3 | ``loss-typestate`` | all (swallow); core, mpc, kvstore, schemes, service (broad excepts); service boundary (typestate) | ``QuorumLostError`` is never swallowed; no bare/broad excepts on protocol paths; every loss-signal path at the service boundary is handled, mapped to ``STATUS_LOST``, or declared |
+| F4 | ``engine-parity`` | code reachable from both engine roots | the scalar/vectorized shared surface stays exact-integer and order-stable |
 
 ### Machinery
 
-* :mod:`repro.lint.engine` -- :class:`~repro.lint.engine.Finding`,
-  the :class:`~repro.lint.engine.Rule` plugin base + registry, and the
-  file walker with ``# noqa: Dx`` suppression;
-* :mod:`repro.lint.rules` -- the D1-D6 implementations;
+* :mod:`repro.lint.project` -- the :class:`~repro.lint.project.Project`
+  model: the only parser (files that do not parse become ``E0``
+  findings), the import index, symbols, call graph, module graph,
+  :class:`~repro.lint.project.Finding` and the per-file
+  :class:`~repro.lint.project.FileContext` with ``# noqa: Dx``
+  suppression;
+* :mod:`repro.lint.rules` -- the :class:`~repro.lint.rules.Rule` base
+  and the rule list :data:`~repro.lint.rules.RULES`;
+* :mod:`repro.lint.engine` -- :class:`~repro.lint.engine.LintEngine`
+  (one project, every enabled rule) and :func:`lint_source`;
 * :mod:`repro.lint.config` -- the zone map (which invariant holds
   where) and run configuration;
 * :mod:`repro.lint.baseline` -- the committed grandfather file
@@ -56,27 +68,21 @@ from repro.lint.config import (
     LintConfig,
     module_relpath,
 )
-from repro.lint.engine import (
-    Finding,
-    LintEngine,
-    Rule,
-    all_rules,
-    get_rule,
-    lint_source,
-)
-from repro.lint import rules as _rules  # noqa: F401  (populates the registry)
+from repro.lint.engine import LintEngine, lint_source
+from repro.lint.project import Finding, Project
 from repro.lint.report import LintResult, render_markdown
+from repro.lint.rules import RULES, Rule
 
 __all__ = [
     "Finding",
+    "Project",
     "Rule",
+    "RULES",
     "LintEngine",
     "LintConfig",
     "LintResult",
     "Baseline",
     "BaselineEntry",
-    "all_rules",
-    "get_rule",
     "lint_source",
     "module_relpath",
     "render_markdown",

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.lint.engine import Finding
+from repro.lint.project import Finding
 
 __all__ = ["BaselineEntry", "Baseline", "BaselineResult", "find_default_baseline"]
 
@@ -109,8 +109,8 @@ class Baseline:
         are stale (the code improved -- delete them).
 
         ``active_rules`` names the rules this run actually executed;
-        entries for rules that did *not* run (a ``--select`` subset, or
-        a single ``--tier``) are left untouched instead of being
+        entries for rules that did *not* run (a ``--select`` or
+        ``--ignore`` subset) are left untouched instead of being
         misreported as stale.  None means every rule ran.
         """
         budget: Counter = Counter()

@@ -7,11 +7,10 @@ Exit-code contract (relied on by CI and ``make lint``):
 * ``2`` -- usage/configuration error (bad rule id, unreadable
   baseline, unjustified baseline entry).
 
-``--tier`` selects the analysis depth: ``file`` runs the per-file
-rules (D1-D6), ``flow`` runs the interprocedural rules (F1-F4) over a
-whole-program model, ``all`` (the default) runs both.  Baseline
-entries for rules outside the selected tier are ignored, not reported
-stale, so partial runs keep the exit contract honest.
+``--select``/``--ignore`` choose the rules.  Baseline entries for
+rules the run did not execute are ignored, not reported stale, so
+partial runs keep the exit contract honest.  ``--graph-out`` exports
+the project's call graph and module-dependency graph.
 
 ``--write-baseline`` regenerates the grandfather file from the current
 findings, preserving reasons for fingerprints that already had one;
@@ -24,22 +23,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.lint import engine as _engine  # registers nothing by itself
-from repro.lint import rules as _rules  # noqa: F401  (populates registry)
 from repro.lint.baseline import Baseline, find_default_baseline
 from repro.lint.config import LintConfig
-from repro.lint.engine import Finding, LintEngine, all_rules
-from repro.lint.flow import FlowEngine, all_flow_rules
+from repro.lint.engine import LintEngine
+from repro.lint.project import Project
 from repro.lint.report import (
     LintResult,
     render_json,
     render_markdown,
     render_text,
 )
+from repro.lint.rules import RULES
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
-
-assert _engine  # imported for registry side-effect ordering
 
 
 def add_lint_arguments(sp: argparse.ArgumentParser) -> None:
@@ -53,14 +49,8 @@ def add_lint_arguments(sp: argparse.ArgumentParser) -> None:
         help="output format (json is the tools/lint_report.py input)",
     )
     sp.add_argument(
-        "--tier", choices=["file", "flow", "all"], default="all",
-        help="analysis tier: per-file rules (D*), interprocedural "
-        "flow rules (F*), or both (default: all)",
-    )
-    sp.add_argument(
         "--graph-out", default=None, metavar="FILE",
-        help="write the flow tier's call-graph/module-dependency JSON "
-        "to FILE (requires --tier flow or all)",
+        help="write the call-graph/module-dependency JSON to FILE",
     )
     sp.add_argument(
         "--select", default=None, metavar="IDS",
@@ -100,46 +90,11 @@ def _parse_ids(spec: str | None) -> frozenset[str] | None:
 
 
 def _list_rules() -> str:
-    lines = ["rule  tier  name                  zones                rationale"]
-    for r in all_rules() + list(all_flow_rules()):
+    lines = ["rule  name                  zones                rationale"]
+    for r in RULES:
         zones = ",".join(z.removeprefix("repro/") for z in r.zones) or "(all)"
-        tier = getattr(r, "tier", "file")
-        lines.append(
-            f"{r.id:5s} {tier:5s} {r.name:21s} {zones:20s} {r.rationale}"
-        )
+        lines.append(f"{r.id:5s} {r.name:21s} {zones:20s} {r.rationale}")
     return "\n".join(lines)
-
-
-def _run_tiers(
-    args: argparse.Namespace, config: LintConfig
-) -> tuple[list[Finding], set[str]]:
-    """Run the selected tier(s); returns findings + active rule ids."""
-    findings: list[Finding] = []
-    active: set[str] = {"E0"}
-    if args.tier in ("file", "all"):
-        eng = LintEngine(config)
-        findings.extend(eng.run(args.paths))
-        active.update(r.id for r in eng.active_rules())
-    if args.tier in ("flow", "all"):
-        feng = FlowEngine(config)
-        flow_findings, project = feng.run_with_project(args.paths)
-        findings.extend(flow_findings)
-        active.update(r.id for r in feng.active_rules())
-        if args.graph_out:
-            project.write_graph(args.graph_out)
-    if args.tier == "all":
-        # both tiers parse every file, so E0 parse errors arrive twice
-        seen: set[tuple] = set()
-        deduped = []
-        for f in findings:
-            key = (f.rule, f.path, f.line, f.message)
-            if key in seen:
-                continue
-            seen.add(key)
-            deduped.append(f)
-        findings = deduped
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, active
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -150,7 +105,7 @@ def run_lint(args: argparse.Namespace) -> int:
 
     select = _parse_ids(args.select)
     ignore = _parse_ids(args.ignore) or frozenset()
-    known = {r.id for r in all_rules()} | {r.id for r in all_flow_rules()}
+    known = {r.id for r in RULES}
     for rid in (select or frozenset()) | ignore:
         if rid not in known:
             print(
@@ -158,19 +113,16 @@ def run_lint(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if args.graph_out and args.tier == "file":
-        print(
-            "error: --graph-out needs the flow tier (--tier flow or all)",
-            file=sys.stderr,
-        )
-        return 2
-
-    config = LintConfig(select=select, ignore=ignore)
+    engine = LintEngine(LintConfig(select=select, ignore=ignore))
     try:
-        findings, active = _run_tiers(args, config)
+        project = Project.build(args.paths)
+        if args.graph_out:
+            project.write_graph(args.graph_out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    findings = engine.check(project)
+    active = {"E0"} | {r.id for r in engine.active_rules()}
 
     baseline_path = None if args.no_baseline else (
         args.baseline or find_default_baseline(args.paths)
@@ -187,7 +139,7 @@ def run_lint(args: argparse.Namespace) -> int:
         regenerated = Baseline.from_findings(findings, previous)
         if previous is not None:
             # keep entries for rules this (possibly partial) run never
-            # executed -- a --tier/--select write must not drop them
+            # executed -- a --select/--ignore write must not drop them
             regenerated.entries.extend(
                 e for e in previous.entries if e.rule not in active
             )

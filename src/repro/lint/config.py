@@ -47,7 +47,7 @@ DETERMINISTIC_ZONES: tuple[str, ...] = (
 )
 
 #: Packages allowed to *construct* randomized plans (always from an
-#: explicit seed -- D2 still flags module-level entropy there).
+#: explicit seed -- F2 still flags module-level entropy there).
 RANDOMNESS_ALLOWED_ZONES: tuple[str, ...] = (
     "repro/workloads",
     "repro/faults",
@@ -71,7 +71,7 @@ ENGINE_ARITHMETIC_ZONES: tuple[str, ...] = (
 )
 
 #: Protocol and storage paths where a swallowed exception can convert a
-#: lost quorum into a silently-wrong answer (D6).
+#: lost quorum into a silently-wrong answer (F3).
 PROTOCOL_ZONES: tuple[str, ...] = (
     "repro/core",
     "repro/mpc",

@@ -1,12 +1,9 @@
-"""The AST rule engine: findings, the rule registry, and the file walker.
+"""The lint engine: one project, every enabled rule, one pass.
 
-A :class:`Rule` is a small plugin: it declares an id (``D1``..), a
-severity, the path zones it applies to, and a ``check`` method that
-yields :class:`Finding` objects from one parsed file.  The
-:class:`LintEngine` walks the target tree, parses each file once,
-builds the shared per-file context (source lines, parent links,
-``noqa`` suppressions), and dispatches every enabled rule whose zone
-matches the file.
+:class:`LintEngine` builds the :class:`~repro.lint.project.Project` once
+(the only parse), runs every rule of :data:`~repro.lint.rules.RULES`
+that survives ``--select``/``--ignore`` over it, and returns the parse
+errors plus the rule findings sorted by location.
 
 Suppression: a ``# noqa: D3`` comment on the flagged line silences
 that rule there; bare ``# noqa`` silences all rules on the line.
@@ -16,280 +13,40 @@ Grandfathered findings live in the committed baseline instead
 
 from __future__ import annotations
 
-import ast
-import io
-import os
-import re
-import tokenize
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from repro.lint.config import LintConfig, in_zone, module_relpath
+from repro.lint.config import LintConfig
+from repro.lint.project import Finding, Project
+from repro.lint.rules import RULES, Rule
 
-__all__ = [
-    "Finding",
-    "FileContext",
-    "Rule",
-    "LintEngine",
-    "register",
-    "all_rules",
-    "get_rule",
-    "lint_source",
-    "iter_python_files",
-]
-
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at one source location."""
-
-    rule: str
-    path: str  # module-relative (repro/...) path
-    line: int
-    col: int
-    message: str
-    snippet: str  # stripped source line, the baseline matching key
-    severity: str = "error"
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-free identity used for baseline matching, so a
-        grandfathered finding survives unrelated edits above it."""
-        return (self.rule, self.path, self.snippet)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the ``--format json`` item shape)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "severity": self.severity,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{k: d[k] for k in (
-            "rule", "path", "line", "col", "message", "snippet", "severity"
-        )})
-
-    def describe(self) -> str:
-        """Compiler-style ``path:line:col: RULE [severity] message``."""
-        return (
-            f"{self.path}:{self.line}:{self.col}: {self.rule} "
-            f"[{self.severity}] {self.message}"
-        )
-
-
-class FileContext:
-    """Everything the rules share about one parsed file."""
-
-    def __init__(self, path: str, source: str, tree: ast.Module):
-        self.path = path
-        self.relpath = module_relpath(path)
-        self.source = source
-        self.lines = source.splitlines()
-        self.tree = tree
-        self.parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
-        self.noqa: dict[int, frozenset[str] | None] = self._scan_noqa(source)
-
-    @staticmethod
-    def _scan_noqa(source: str) -> dict[int, frozenset[str] | None]:
-        """Map line -> suppressed rule ids (None = all rules)."""
-        out: dict[int, frozenset[str] | None] = {}
-        try:
-            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-            for tok in tokens:
-                if tok.type != tokenize.COMMENT:
-                    continue
-                m = _NOQA_RE.search(tok.string)
-                if not m:
-                    continue
-                codes = m.group("codes")
-                if codes is None:
-                    out[tok.start[0]] = None
-                else:
-                    ids = frozenset(
-                        c.strip().upper() for c in codes.split(",") if c.strip()
-                    )
-                    prev = out.get(tok.start[0], frozenset())
-                    out[tok.start[0]] = (
-                        None if prev is None else prev | ids
-                    )
-        except tokenize.TokenizeError:  # pragma: no cover - parse ok'd already
-            pass
-        return out
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        """True iff a ``noqa`` comment on ``line`` silences ``rule_id``."""
-        if line not in self.noqa:
-            return False
-        codes = self.noqa[line]
-        return codes is None or rule_id in codes
-
-    def snippet_at(self, line: int) -> str:
-        """Stripped source text of ``line`` (the baseline fingerprint key)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        """Direct AST parent of ``node`` (None for the module root)."""
-        return self.parents.get(node)
-
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        """Walk from ``node``'s parent up to the module root."""
-        cur = self.parents.get(node)
-        while cur is not None:
-            yield cur
-            cur = self.parents.get(cur)
-
-    def enclosing_function(
-        self, node: ast.AST
-    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-        """Innermost function def containing ``node``, if any."""
-        for anc in self.ancestors(node):
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
-    def finding(
-        self,
-        rule: "Rule",
-        node: ast.AST,
-        message: str,
-    ) -> Finding:
-        """Build a :class:`Finding` for ``rule`` at ``node``'s location."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        return Finding(
-            rule=rule.id,
-            path=self.relpath,
-            line=line,
-            col=col,
-            message=message,
-            snippet=self.snippet_at(line),
-            severity=rule.severity,
-        )
-
-
-class Rule:
-    """Base class for lint rules; subclasses self-register via
-    :func:`register`."""
-
-    id: str = ""
-    name: str = ""
-    severity: str = "error"
-    #: path prefixes the rule applies to; () = every scanned file
-    zones: tuple[str, ...] = ()
-    #: one-line invariant statement for docs / ``--list-rules``
-    rationale: str = ""
-
-    def applies_to(self, relpath: str, config: LintConfig) -> bool:
-        """True iff the rule's (possibly overridden) zones cover the file."""
-        zones = config.zones_for(self.id, self.zones)
-        return not zones or in_zone(relpath, zones)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
-        """Yield every violation of this rule in one parsed file."""
-        raise NotImplementedError
-
-
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator adding a rule to the global registry."""
-    if not cls.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
-    if cls.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {cls.id}")
-    _REGISTRY[cls.id] = cls()
-    return cls
-
-
-def all_rules() -> list[Rule]:
-    """Registered rules in id order."""
-    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    """The registered rule with the given id (ValueError if unknown)."""
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown rule {rule_id!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def iter_python_files(paths: Iterable[str]) -> list[str]:
-    """Expand files/directories into a sorted list of .py files."""
-    out: list[str] = []
-    for p in paths:
-        if os.path.isdir(p):
-            for dirpath, dirnames, filenames in os.walk(p):
-                dirnames.sort()
-                for name in sorted(filenames):
-                    if name.endswith(".py"):
-                        out.append(os.path.join(dirpath, name))
-        elif p.endswith(".py"):
-            out.append(p)
-        else:
-            raise ValueError(f"not a Python file or directory: {p}")
-    return sorted(dict.fromkeys(out))
+__all__ = ["LintEngine", "lint_source"]
 
 
 @dataclass
 class LintEngine:
-    """Parse files once, dispatch every enabled + in-zone rule."""
+    """Dispatch every enabled rule over one project."""
 
     config: LintConfig = dc_field(default_factory=LintConfig)
 
     def active_rules(self) -> list[Rule]:
-        """Registered rules surviving the select/ignore configuration."""
-        return [r for r in all_rules() if self.config.rule_enabled(r.id)]
+        """Rules surviving the select/ignore configuration."""
+        return [r for r in RULES if self.config.rule_enabled(r.id)]
 
-    def run(self, paths: Iterable[str]) -> list[Finding]:
-        """Lint files/trees and return findings sorted by location."""
-        findings: list[Finding] = []
-        for path in iter_python_files(paths):
-            with open(path, encoding="utf-8") as fh:
-                source = fh.read()
-            findings.extend(self.run_source(source, path))
+    def check(self, project: Project) -> list[Finding]:
+        """E0 parse errors plus every unsuppressed rule finding, sorted
+        by location."""
+        findings = list(project.errors)
+        for rule in self.active_rules():
+            for f in rule.check(project, self.config):
+                if not project.files[f.path].suppressed(f.rule, f.line):
+                    findings.append(f)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
-    def run_source(self, source: str, path: str) -> list[Finding]:
-        """Lint one in-memory source (``path`` scopes the zone rules)."""
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [Finding(
-                rule="E0",
-                path=module_relpath(path),
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"file does not parse: {exc.msg}",
-                snippet="",
-            )]
-        ctx = FileContext(path, source, tree)
-        out: list[Finding] = []
-        for rule in self.active_rules():
-            if not rule.applies_to(ctx.relpath, self.config):
-                continue
-            for f in rule.check(ctx):
-                if not ctx.suppressed(f.rule, f.line):
-                    out.append(f)
-        return out
+    def run(self, paths: Iterable[str]) -> list[Finding]:
+        """Lint files/trees."""
+        return self.check(Project.build(paths))
 
 
 def lint_source(
@@ -297,9 +54,7 @@ def lint_source(
     path: str = "repro/core/_snippet.py",
     config: LintConfig | None = None,
 ) -> list[Finding]:
-    """Convenience wrapper for tests: lint one source string as if it
-    lived at ``path``."""
-    eng = LintEngine(config or LintConfig())
-    found = eng.run_source(source, path)
-    found.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return found
+    """Lint one source string as a one-file project living at ``path``
+    (``path`` scopes the zone rules)."""
+    project = Project.from_sources([(path, source)])
+    return LintEngine(config or LintConfig()).check(project)

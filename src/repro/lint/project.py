@@ -1,16 +1,20 @@
-"""The whole-program model behind the flow tier: symbols, calls, deps.
+"""The whole-program model every lint rule reads: files, symbols, calls.
 
-A :class:`Project` is built once per ``repro lint --tier flow`` run: it
-parses every target file (reusing :class:`repro.lint.engine.FileContext`
-so ``noqa`` scanning and parent links behave exactly like the file
-tier), collects a qualified-name symbol table of every function, method
-and class, resolves call sites into a call graph, and derives the
-module-dependency graph from imports.
+A :class:`Project` is built once per ``repro lint`` run and is the only
+place a file is parsed: files that do not parse become ``E0`` findings
+in :attr:`Project.errors`, every other file becomes a
+:class:`FileContext` (source lines, parent links, ``noqa``
+suppressions).  On top of the files it collects a qualified-name symbol
+table of every function, method and class, the import index
+(:meth:`Project.qualify` resolves a dotted name through it), the call
+graph, and the module-dependency graph.
 
 Qualified names are ``<relpath>::<Class>.<method>`` (or
 ``<relpath>::<function>``), e.g.
 ``repro/service/service.py::KVService.stop`` -- path-scoped so fixture
-trees in test temp dirs resolve exactly like the real package.
+trees in test temp dirs resolve exactly like the real package.  Files
+are keyed by that ``repro/...`` path, so of two scanned files with the
+same relative path the later one wins.
 
 Call resolution is best-effort static analysis, deliberately biased
 toward *precision* (an unresolved call produces no edge, never a wrong
@@ -36,17 +40,196 @@ handled ``QuorumLostError`` paths without a real CFG.
 from __future__ import annotations
 
 import ast
+import io
 import json
+import os
+import re
+import tokenize
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.lint.config import module_relpath
-from repro.lint.engine import FileContext, Finding, iter_python_files
 
-__all__ = ["CallSite", "RaiseSite", "FunctionInfo", "ClassInfo", "Project"]
+if TYPE_CHECKING:  # the rules import this module
+    from repro.lint.rules import Rule
+
+__all__ = [
+    "Finding",
+    "FileContext",
+    "CallSite",
+    "RaiseSite",
+    "FunctionInfo",
+    "ClassInfo",
+    "Project",
+    "dotted_name",
+    "handler_names",
+    "iter_python_files",
+]
 
 #: schema version of the exported call-graph JSON (the CI artifact)
 GRAPH_SCHEMA = 1
+
+_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One rule violation at one source location."""
+
+    rule: str
+    path: str  # module-relative (repro/...) path
+    line: int
+    col: int
+    message: str
+    snippet: str  # stripped source line, the baseline matching key
+    severity: str = "error"
+
+    @property
+    def fingerprint(self) -> tuple[str, str, str]:
+        """Line-number-free identity used for baseline matching, so a
+        grandfathered finding survives unrelated edits above it."""
+        return (self.rule, self.path, self.snippet)
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form (the ``--format json`` item shape)."""
+        return {
+            "rule": self.rule,
+            "path": self.path,
+            "line": self.line,
+            "col": self.col,
+            "message": self.message,
+            "snippet": self.snippet,
+            "severity": self.severity,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Finding":
+        """Inverse of :meth:`to_dict`."""
+        return cls(**{k: d[k] for k in (
+            "rule", "path", "line", "col", "message", "snippet", "severity"
+        )})
+
+    def describe(self) -> str:
+        """Compiler-style ``path:line:col: RULE [severity] message``."""
+        return (
+            f"{self.path}:{self.line}:{self.col}: {self.rule} "
+            f"[{self.severity}] {self.message}"
+        )
+
+
+class FileContext:
+    """Everything the rules share about one parsed file."""
+
+    def __init__(self, path: str, source: str, tree: ast.Module):
+        self.path = path
+        self.relpath = module_relpath(path)
+        self.source = source
+        self.lines = source.splitlines()
+        self.tree = tree
+        self.parents: dict[ast.AST, ast.AST] = {}
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                self.parents[child] = parent
+        self.noqa: dict[int, frozenset[str] | None] = self._scan_noqa(source)
+
+    @staticmethod
+    def _scan_noqa(source: str) -> dict[int, frozenset[str] | None]:
+        """Map line -> suppressed rule ids (None = all rules)."""
+        out: dict[int, frozenset[str] | None] = {}
+        try:
+            tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+            for tok in tokens:
+                if tok.type != tokenize.COMMENT:
+                    continue
+                m = _NOQA_RE.search(tok.string)
+                if not m:
+                    continue
+                codes = m.group("codes")
+                if codes is None:
+                    out[tok.start[0]] = None
+                else:
+                    ids = frozenset(
+                        c.strip().upper() for c in codes.split(",") if c.strip()
+                    )
+                    prev = out.get(tok.start[0], frozenset())
+                    out[tok.start[0]] = (
+                        None if prev is None else prev | ids
+                    )
+        except tokenize.TokenizeError:  # pragma: no cover - parse ok'd already
+            pass
+        return out
+
+    def suppressed(self, rule_id: str, line: int) -> bool:
+        """True iff a ``noqa`` comment on ``line`` silences ``rule_id``."""
+        if line not in self.noqa:
+            return False
+        codes = self.noqa[line]
+        return codes is None or rule_id in codes
+
+    def snippet_at(self, line: int) -> str:
+        """Stripped source text of ``line`` (the baseline fingerprint key)."""
+        if 1 <= line <= len(self.lines):
+            return self.lines[line - 1].strip()
+        return ""
+
+    def parent(self, node: ast.AST) -> ast.AST | None:
+        """Direct AST parent of ``node`` (None for the module root)."""
+        return self.parents.get(node)
+
+    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
+        """Walk from ``node``'s parent up to the module root."""
+        cur = self.parents.get(node)
+        while cur is not None:
+            yield cur
+            cur = self.parents.get(cur)
+
+    def enclosing_function(
+        self, node: ast.AST
+    ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
+        """Innermost function def containing ``node``, if any."""
+        for anc in self.ancestors(node):
+            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return anc
+        return None
+
+    def finding(self, rule: Rule, node: ast.AST, message: str) -> Finding:
+        """Build a :class:`Finding` for ``rule`` at ``node``'s location."""
+        return self.finding_at(
+            rule, getattr(node, "lineno", 1), message,
+            col=getattr(node, "col_offset", 0),
+        )
+
+    def finding_at(
+        self, rule: Rule, line: int, message: str, col: int = 0
+    ) -> Finding:
+        """Build a :class:`Finding` for ``rule`` at ``line`` of this file."""
+        return Finding(
+            rule=rule.id,
+            path=self.relpath,
+            line=line,
+            col=col,
+            message=message,
+            snippet=self.snippet_at(line),
+            severity=rule.severity,
+        )
+
+
+def iter_python_files(paths: Iterable[str]) -> list[str]:
+    """Expand files/directories into a sorted list of .py files."""
+    out: list[str] = []
+    for p in paths:
+        if os.path.isdir(p):
+            for dirpath, dirnames, filenames in os.walk(p):
+                dirnames.sort()
+                for name in sorted(filenames):
+                    if name.endswith(".py"):
+                        out.append(os.path.join(dirpath, name))
+        elif p.endswith(".py"):
+            out.append(p)
+        else:
+            raise ValueError(f"not a Python file or directory: {p}")
+    return sorted(dict.fromkeys(out))
 
 
 @dataclass
@@ -124,12 +307,12 @@ def _dotted_module(relpath: str) -> str:
     return mod.removesuffix(".__init__")
 
 
-def _name_of(node: ast.expr) -> str | None:
+def dotted_name(node: ast.expr) -> str | None:
     """Dotted textual form of a name/attribute chain, else None."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
-        base = _name_of(node.value)
+        base = dotted_name(node.value)
         return f"{base}.{node.attr}" if base else None
     return None
 
@@ -168,6 +351,8 @@ class Project:
 
     def __init__(self) -> None:
         self.files: dict[str, FileContext] = {}
+        #: E0 findings for the files that do not parse
+        self.errors: list[Finding] = []
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         #: dotted module -> relpath of its defining file
@@ -188,21 +373,27 @@ class Project:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, paths: list[str]) -> tuple["Project", list[Finding]]:
-        """Parse ``paths`` and build the full model.
-
-        Returns the project plus E0 findings for files that do not
-        parse (those files are excluded from the model).
-        """
-        proj = cls()
-        errors: list[Finding] = []
+    def build(cls, paths: Iterable[str]) -> "Project":
+        """Read every ``.py`` file under ``paths`` and model them."""
+        sources = []
         for path in iter_python_files(paths):
             with open(path, encoding="utf-8") as fh:
-                source = fh.read()
+                sources.append((path, fh.read()))
+        return cls.from_sources(sources)
+
+    @classmethod
+    def from_sources(cls, sources: Iterable[tuple[str, str]]) -> "Project":
+        """Parse ``(path, source)`` pairs and build the full model.
+
+        A file that does not parse is left out of the model and becomes
+        an ``E0`` finding in :attr:`errors`.
+        """
+        proj = cls()
+        for path, source in sources:
             try:
                 tree = ast.parse(source, filename=path)
             except SyntaxError as exc:
-                errors.append(Finding(
+                proj.errors.append(Finding(
                     rule="E0",
                     path=module_relpath(path),
                     line=exc.lineno or 1,
@@ -217,7 +408,7 @@ class Project:
         proj._index_imports()
         proj._infer_attr_types()
         proj._resolve_calls()
-        return proj, errors
+        return proj
 
     def _index_symbols(self) -> None:
         for relpath, ctx in self.files.items():
@@ -235,7 +426,7 @@ class Project:
             relpath=relpath,
             name=node.name,
             node=node,
-            bases=[b for b in map(_name_of, node.bases) if b],
+            bases=[b for b in map(dotted_name, node.bases) if b],
         )
         self.classes[qname] = info
         self._class_by_name.setdefault(node.name, []).append(qname)
@@ -321,6 +512,26 @@ class Project:
         if relpath is not None:
             deps.add(relpath)
 
+    def qualify(self, relpath: str, node: ast.expr) -> str | None:
+        """Import-resolved dotted name of a name/attribute chain in
+        ``relpath``: after ``from numpy import random as npr``,
+        ``npr.rand`` is ``numpy.random.rand``; after ``from repro import
+        obs``, ``obs.span`` is ``repro.obs.span``.  A chain no import
+        binds comes back as written; None for dynamic expressions."""
+        text = dotted_name(node)
+        if text is None:
+            return None
+        parts = text.split(".")
+        aliases = self.mod_aliases.get(relpath, {})
+        for cut in range(len(parts), 0, -1):
+            mod = aliases.get(".".join(parts[:cut]))
+            if mod is not None:
+                return ".".join([mod, *parts[cut:]])
+        binding = self.from_imports.get(relpath, {}).get(parts[0])
+        if binding is not None:
+            return ".".join([*binding, *parts[1:]])
+        return text
+
     def _infer_attr_types(self) -> None:
         """Fill ``ClassInfo.attr_types`` from ``self.x = Cls(...)`` and
         ``self.x: Cls`` assignments in method bodies."""
@@ -371,7 +582,7 @@ class Project:
         self, call: ast.Call, relpath: str
     ) -> str | None:
         """``Cls`` for constructor-looking calls, resolution deferred."""
-        name = _name_of(call.func)
+        name = dotted_name(call.func)
         if name is None:
             return None
         leaf = name.split(".")[-1]
@@ -461,7 +672,7 @@ class Project:
                 continue
             if isinstance(stmt, ast.Try):
                 names = frozenset(
-                    n for h in stmt.handlers for n in _handler_names(h)
+                    n for h in stmt.handlers for n in handler_names(h)
                 )
                 self._collect_sites(
                     fn, stmt.body, handled | names, local_types
@@ -475,9 +686,9 @@ class Project:
                 exc = ""
                 e = stmt.exc
                 if isinstance(e, ast.Call):
-                    exc = (_name_of(e.func) or "").split(".")[-1]
+                    exc = (dotted_name(e.func) or "").split(".")[-1]
                 elif e is not None:
-                    exc = (_name_of(e) or "").split(".")[-1]
+                    exc = (dotted_name(e) or "").split(".")[-1]
                 fn.raises.append(
                     RaiseSite(line=stmt.lineno, exc=exc, handled=handled)
                 )
@@ -495,7 +706,7 @@ class Project:
                             callee=self._resolve_call(
                                 fn, node, local_types
                             ),
-                            text=_name_of(node.func) or "<dynamic>",
+                            text=dotted_name(node.func) or "<dynamic>",
                             handled=handled,
                         ))
             for attr in ("body", "orelse", "finalbody"):
@@ -511,7 +722,7 @@ class Project:
         call: ast.Call,
         local_types: dict[str, str],
     ) -> str | None:
-        name = _name_of(call.func)
+        name = dotted_name(call.func)
         if name is None:
             return None
         parts = name.split(".")
@@ -647,8 +858,6 @@ class Project:
         """BFS over the *reverse* call graph from ``target`` to the
         nearest caller satisfying ``predicate``; returns the chain
         caller-first, or None."""
-        from collections import deque
-
         prev: dict[str, str] = {}
         seen = {target}
         queue = deque([target])
@@ -709,14 +918,14 @@ class Project:
             fh.write("\n")
 
 
-def _handler_names(handler: ast.ExceptHandler) -> set[str]:
+def handler_names(handler: ast.ExceptHandler) -> set[str]:
     """Bare exception names one ``except`` clause covers."""
     t = handler.type
     if t is None:
         return {"BaseException"}
     nodes = t.elts if isinstance(t, ast.Tuple) else [t]
     return {
-        (_name_of(n) or "").split(".")[-1]
+        (dotted_name(n) or "").split(".")[-1]
         for n in nodes
-        if _name_of(n) is not None
+        if dotted_name(n) is not None
     }

@@ -13,22 +13,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.lint.baseline import BaselineEntry, BaselineResult
-from repro.lint.engine import Finding, all_rules
+from repro.lint.project import Finding
+from repro.lint.rules import RULES
 
 __all__ = [
     "LintResult",
-    "rule_index",
     "render_text",
     "render_json",
     "render_markdown",
 ]
-
-
-def rule_index() -> dict:
-    """id -> rule object across both tiers (file D* + flow F*)."""
-    from repro.lint.flow import all_flow_rules  # local: avoid cycle
-
-    return {r.id: r for r in list(all_rules()) + list(all_flow_rules())}
 
 
 def rule_family(rule_id: str) -> str:
@@ -93,19 +86,6 @@ class LintResult:
             fam["rules"] += 1
         return out
 
-    def counts_by_tier(self) -> dict[str, dict[str, int]]:
-        """Per-tier (file/flow) tallies; parse errors (E0) count as
-        file-tier since both tiers share the parse."""
-        index = rule_index()
-        out: dict[str, dict[str, int]] = {}
-        for kind, findings in (("new", self.new), ("baselined", self.baselined)):
-            for f in findings:
-                r = index.get(f.rule)
-                tier = getattr(r, "tier", "file") if r is not None else "file"
-                t = out.setdefault(tier, {"new": 0, "baselined": 0})
-                t[kind] += 1
-        return out
-
     def to_dict(self) -> dict:
         """The versioned JSON interchange form (``--format json``)."""
         return {
@@ -115,17 +95,12 @@ class LintResult:
             "ok": self.ok,
             "counts": self.counts_by_rule(),
             "families": self.counts_by_family(),
-            "tiers": self.counts_by_tier(),
             "new": [f.to_dict() for f in self.new],
             "baselined": [f.to_dict() for f in self.baselined],
             "stale": [e.to_dict() for e in self.stale],
             "rules": {
-                r.id: {
-                    "name": r.name,
-                    "rationale": r.rationale,
-                    "tier": getattr(r, "tier", "file"),
-                }
-                for r in rule_index().values()
+                r.id: {"name": r.name, "rationale": r.rationale}
+                for r in RULES
             },
         }
 
@@ -196,29 +171,18 @@ def render_markdown(result: LintResult) -> str:
         out.append(
             f"| {fam} | {c['rules']} | {c['new']} | {c['baselined']} |"
         )
-    tiers = result.counts_by_tier()
-    if tiers:
-        out.append("")
-        out.append(
-            "Per tier: " + " · ".join(
-                f"{tier}: {c['new']} new, {c['baselined']} baselined"
-                for tier, c in sorted(tiers.items())
-            )
-        )
     out.append("")
     out.append("## Findings by rule")
     out.append("")
-    out.append("| rule | tier | name | new | baselined |")
-    out.append("|------|------|------|----:|----------:|")
+    out.append("| rule | name | new | baselined |")
+    out.append("|------|------|----:|----------:|")
     counts = result.counts_by_rule()
-    index = rule_index()
-    for rule in sorted(set(counts) | set(index)):
+    names = {r.id: r.name for r in RULES}
+    for rule in sorted(set(counts) | set(names)):
         c = counts.get(rule, {"new": 0, "baselined": 0})
-        r = index.get(rule)
-        name = r.name if r is not None else "?"
-        tier = getattr(r, "tier", "file") if r is not None else "?"
         out.append(
-            f"| {rule} | {tier} | {name} | {c['new']} | {c['baselined']} |"
+            f"| {rule} | {names.get(rule, '?')} | {c['new']} "
+            f"| {c['baselined']} |"
         )
     if result.new:
         out.append("")

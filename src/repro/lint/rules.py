@@ -1,19 +1,24 @@
-"""The determinism ruleset D1-D6.
+"""The determinism ruleset: one :class:`Rule` base, one rule list.
 
-Each rule encodes one invariant the conformance checker (PR 4) and the
-fault campaigns (PR 3) silently rely on; see DESIGN.md for the mapping
-back to the paper.  Rules are registered on import via
-:func:`repro.lint.engine.register`; importing this module populates the
-registry.
+Every rule sees the whole :class:`~repro.lint.project.Project` built
+once per run.  Per-file rules implement :meth:`Rule.check_file` and
+inherit the zone-filtered loop over ``project.files``; whole-program
+rules override :meth:`Rule.check`.  Each rule encodes one invariant the
+conformance checker and the fault campaigns silently rely on; see
+DESIGN.md §3a for the mapping back to the paper.
 
 | id | name | invariant |
 |----|------|-----------|
 | D1 | set-iteration        | no order-sensitive iteration over sets in deterministic zones |
-| D2 | unseeded-randomness  | no unseeded RNG / wall-clock calls outside workload+fault plan code |
 | D3 | float-arithmetic     | no float literals / true division in field + coset algebra |
 | D4 | obs-api              | deterministic code calls only ``obs.span`` / ``emit`` / ``enabled`` / ``set_*`` and the record types |
 | D5 | mutable-shared-state | no mutable default args / module-level mutable accumulators |
-| D6 | exception-hygiene    | no broad/bare excepts in protocol paths; never swallow QuorumLostError |
+| F1 | await-atomicity      | a guard tested before ``await`` must be re-validated before acting on it |
+| F2 | determinism-taint    | no unseeded RNG / wall-clock calls outside workload+fault plan code, and no such source or ``os.environ`` read flows through call edges into deterministic zones |
+| F3 | loss-typestate       | no broad/bare excepts on protocol paths; QuorumLostError is never swallowed; every loss-signal path at the service boundary ends in a handler, the STATUS_LOST mapping, or a docstring declaration |
+| F4 | engine-parity        | the surface shared by both round-loop executors stays exact-integer and order-stable |
+
+:data:`RULES` is the rule list, in id order.
 """
 
 from __future__ import annotations
@@ -22,75 +27,75 @@ import ast
 from typing import Iterator
 
 from repro.lint.config import (
+    ASYNC_ATOMICITY_ZONES,
     DETERMINISTIC_ZONES,
     ENGINE_ARITHMETIC_ZONES,
     FIELD_ARITHMETIC_ZONES,
+    LOSS_BOUNDARY_ZONES,
+    LOSS_SIGNALS,
+    PARITY_EXEMPT_ZONES,
+    PARITY_ROOTS,
     PROTOCOL_ZONES,
     RANDOMNESS_ALLOWED_ZONES,
+    LintConfig,
+    in_zone,
 )
-from repro.lint.engine import FileContext, Finding, Rule, register
+from repro.lint.project import (
+    FileContext,
+    Finding,
+    FunctionInfo,
+    Project,
+    dotted_name,
+    handler_names,
+)
 
 __all__ = [
+    "Rule",
+    "RULES",
     "SetIterationRule",
-    "UnseededRandomnessRule",
     "FloatArithmeticRule",
     "ObservabilityApiRule",
     "MutableSharedStateRule",
-    "ExceptionHygieneRule",
+    "AwaitAtomicityRule",
+    "DeterminismTaintRule",
+    "LossTypestateRule",
+    "EngineParityRule",
 ]
 
 
-# ---------------------------------------------------------------------------
-# shared helpers
+class Rule:
+    """Base class for lint rules."""
 
+    id: str = ""
+    name: str = ""
+    severity: str = "error"
+    #: path prefixes the rule applies to; () = every scanned file
+    zones: tuple[str, ...] = ()
+    #: one-line invariant statement for docs / ``--list-rules``
+    rationale: str = ""
 
-def _call_name(node: ast.expr) -> str | None:
-    """``foo`` for ``foo(...)``, ``a.b.c`` for ``a.b.c(...)``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _call_name(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
+    def __repr__(self) -> str:
+        """Address-free, so the generated API docs are reproducible."""
+        return f"{type(self).__name__}()"
 
+    def files(
+        self, project: Project, config: LintConfig
+    ) -> Iterator[FileContext]:
+        """The project's files inside the rule's (possibly overridden)
+        zones."""
+        zones = config.zones_for(self.id, self.zones)
+        for relpath, ctx in project.files.items():
+            if not zones or in_zone(relpath, zones):
+                yield ctx
 
-def _module_aliases(tree: ast.Module, module: str) -> set[str]:
-    """Names under which ``module`` (dotted) is reachable in this file.
+    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
+        """Yield every violation of this rule in the project."""
+        for ctx in self.files(project, config):
+            yield from self.check_file(ctx)
 
-    ``import repro.obs as _obs`` -> {"_obs"}; ``from repro import obs``
-    -> {"obs"}; ``import repro.obs`` -> {"repro.obs"}.
-    """
-    aliases: set[str] = set()
-    parent, _, leaf = module.rpartition(".")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name == module:
-                    aliases.add(a.asname or a.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == parent and parent:
-                for a in node.names:
-                    if a.name == leaf:
-                        aliases.add(a.asname or a.name)
-    return aliases
-
-
-def _imported_names(tree: ast.Module, module: str) -> dict[str, str]:
-    """``from module import x [as y]`` bindings: local name -> attr."""
-    out: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for a in node.names:
-                out[a.asname or a.name] = a.name
-    return out
-
-
-def _is_attr_of(node: ast.expr, bases: set[str]) -> bool:
-    """True for ``B.attr`` where the dotted prefix ``B`` is in bases."""
-    return (
-        isinstance(node, ast.Attribute)
-        and _call_name(node.value) in bases
-    )
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:  # pragma: no cover
+        """Yield every violation of a per-file rule in one parsed file."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,6 @@ _SET_METHODS = frozenset({
 })
 
 
-@register
 class SetIterationRule(Rule):
     """D1: iterating a ``set`` materializes an arbitrary (hash-seed
     dependent) order.  In the deterministic zones every such loop or
@@ -129,7 +133,7 @@ class SetIterationRule(Rule):
         "must sort before iterating"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag order-sensitive walks of locally set-typed values."""
         for scope in self._scopes(ctx.tree):
             known = self._set_typed_names(scope)
@@ -189,7 +193,7 @@ class SetIterationRule(Rule):
         if isinstance(node, ast.Name):
             return node.id in known
         if isinstance(node, ast.Call):
-            fn = _call_name(node.func)
+            fn = dotted_name(node.func)
             if fn in ("set", "frozenset"):
                 return True
             if (
@@ -227,7 +231,7 @@ class SetIterationRule(Rule):
                     parent = ctx.parent(node)
                     if (
                         isinstance(parent, ast.Call)
-                        and _call_name(parent.func)
+                        and dotted_name(parent.func)
                         in _ORDER_INSENSITIVE_CONSUMERS
                     ):
                         continue
@@ -240,7 +244,7 @@ class SetIterationRule(Rule):
                         )
                         break
             elif isinstance(node, ast.Call):
-                fn = _call_name(node.func)
+                fn = dotted_name(node.func)
                 if (
                     fn in _ORDER_SENSITIVE_CONSUMERS
                     and node.args
@@ -267,169 +271,9 @@ def _annotation_is_set(ann: ast.expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# D2 -- unseeded randomness / wall clock
-
-
-#: wall-clock reads; perf_counter/monotonic/process_time are duration
-#: measurements and stay legal (they never feed simulation state)
-_TIME_FNS = frozenset({"time", "time_ns", "localtime", "ctime", "monotonic_ns"})
-_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-_ENTROPY_MODULES = ("secrets",)
-
-
-@register
-class UnseededRandomnessRule(Rule):
-    """D2: every random draw must come from an explicitly seeded
-    generator, and nothing may read the wall clock into simulation
-    state.  ``repro/workloads`` and ``repro/faults`` construct
-    randomized *plans* from caller-provided seeds, so function-level
-    draws are legal there -- module-level entropy never is."""
-
-    id = "D2"
-    name = "unseeded-randomness"
-    zones = ()  # everywhere; allowed zones relax to module-level-only
-    rationale = (
-        "identical request sequences must replay bit-identically; entropy "
-        "enters only through explicit seeds"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag implicit-RNG and wall-clock calls per the zone policy."""
-        relaxed = any(
-            ctx.relpath == z or ctx.relpath.startswith(z + "/")
-            for z in RANDOMNESS_ALLOWED_ZONES
-        )
-        maps = self.alias_maps(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            msg = self.classify_call(node, maps)
-            if msg is None:
-                continue
-            if relaxed and ctx.enclosing_function(node) is not None:
-                continue  # seeded-plan packages: function scope is fine
-            yield ctx.finding(self, node, msg)
-
-    @staticmethod
-    def alias_maps(tree: ast.Module) -> dict:
-        """Per-file import-alias maps the classifier resolves against.
-
-        Built once per file; also consumed by the flow tier's F2 rule,
-        which applies the same source classification interprocedurally.
-        """
-        np_aliases = _module_aliases(tree, "numpy")
-        return {
-            "random": _module_aliases(tree, "random"),
-            "npr": _module_aliases(tree, "numpy.random") | {
-                f"{a}.random" for a in np_aliases
-            },
-            "time": _module_aliases(tree, "time"),
-            "datetime": _module_aliases(tree, "datetime"),
-            "os": _module_aliases(tree, "os"),
-            "uuid": _module_aliases(tree, "uuid"),
-            "from": {
-                **{k: ("random", v)
-                   for k, v in _imported_names(tree, "random").items()},
-                **{k: ("numpy.random", v)
-                   for k, v in _imported_names(tree, "numpy.random").items()},
-                **{k: ("time", v)
-                   for k, v in _imported_names(tree, "time").items()},
-                **{k: ("datetime", v)
-                   for k, v in _imported_names(tree, "datetime").items()},
-            },
-        }
-
-    def classify_call(self, node: ast.Call, maps: dict) -> str | None:
-        """Classify one call against prebuilt :meth:`alias_maps`."""
-        return self._classify(
-            node, maps["random"], maps["npr"], maps["time"],
-            maps["datetime"], maps["os"], maps["uuid"], maps["from"],
-        )
-
-    def _classify(
-        self,
-        node: ast.Call,
-        random_aliases: set[str],
-        npr_aliases: set[str],
-        time_aliases: set[str],
-        dt_mod_aliases: set[str],
-        os_aliases: set[str],
-        uuid_aliases: set[str],
-        from_bindings: dict[str, tuple[str, str]],
-    ) -> str | None:
-        func = node.func
-        name: str | None = None
-        origin: str | None = None
-        if isinstance(func, ast.Attribute):
-            base = _call_name(func.value)
-            if base in random_aliases:
-                origin, name = "random", func.attr
-            elif base in npr_aliases:
-                origin, name = "numpy.random", func.attr
-            elif base in time_aliases:
-                origin, name = "time", func.attr
-            elif base in os_aliases and func.attr == "urandom":
-                return "os.urandom() is non-reproducible entropy"
-            elif base in uuid_aliases and func.attr in ("uuid1", "uuid4"):
-                return f"uuid.{func.attr}() is non-reproducible"
-            elif base is not None and base.split(".")[0] in _ENTROPY_MODULES:
-                return f"{base}.{func.attr}() is non-reproducible entropy"
-            elif func.attr in _DATETIME_FNS:
-                head = _call_name(func.value)
-                if head and (
-                    head in dt_mod_aliases
-                    or head.split(".")[0] in dt_mod_aliases
-                    or head in ("datetime", "date", "datetime.datetime")
-                ):
-                    origin, name = "datetime", func.attr
-        elif isinstance(func, ast.Name) and func.id in from_bindings:
-            origin, name = from_bindings[func.id]
-
-        if origin is None or name is None:
-            return None
-        if origin == "random":
-            if name in ("Random",) and node.args:
-                return None  # explicitly seeded generator object
-            return (
-                f"random.{name}() draws from implicit global state; use an "
-                "explicitly seeded random.Random(seed)"
-            )
-        if origin == "numpy.random":
-            if name == "default_rng":
-                if node.args or node.keywords:
-                    return None
-                return (
-                    "default_rng() without a seed is nondeterministic; pass "
-                    "an explicit seed"
-                )
-            if name == "Generator":
-                return None  # wrapping an explicit BitGenerator
-            return (
-                f"numpy.random.{name}() uses the legacy global state; use a "
-                "seeded default_rng(seed)"
-            )
-        if origin == "time":
-            if name == "gmtime" and (node.args or node.keywords):
-                return None  # formatting a supplied timestamp
-            if name in _TIME_FNS or name == "gmtime":
-                return (
-                    f"time.{name}() reads the wall clock; timestamps must "
-                    "come from the logical clock or caller input"
-                )
-            return None
-        if origin == "datetime" and name in _DATETIME_FNS:
-            return (
-                f"datetime {name}() reads the wall clock; pass timestamps "
-                "explicitly"
-            )
-        return None
-
-
-# ---------------------------------------------------------------------------
 # D3 -- float arithmetic in field code
 
 
-@register
 class FloatArithmeticRule(Rule):
     """D3: GF(2^m) codes and PGL2 coset indices are exact integers; one
     float round-trip (a true division, a float literal promotion)
@@ -445,7 +289,7 @@ class FloatArithmeticRule(Rule):
         "exactness above 2^53"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag float literals, ``float()`` calls, and true division."""
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
@@ -467,7 +311,7 @@ class FloatArithmeticRule(Rule):
                     self, node,
                     f"float literal {node.value!r} in exact-arithmetic zone",
                 )
-            elif isinstance(node, ast.Call) and _call_name(node.func) == "float":
+            elif isinstance(node, ast.Call) and dotted_name(node.func) == "float":
                 yield ctx.finding(
                     self, node,
                     "float() conversion in exact-arithmetic zone",
@@ -487,7 +331,6 @@ _OBS_API = frozenset({
 })
 
 
-@register
 class ObservabilityApiRule(Rule):
     """D4: deterministic code reaches observability only through
     ``obs.span``, ``obs.emit``, the ``obs.enabled`` guard, the ``set_*``
@@ -507,28 +350,21 @@ class ObservabilityApiRule(Rule):
         "side channel restates it and costs the disabled path"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
         """Flag every call into ``repro.obs`` outside :data:`_OBS_API`."""
-        aliases = _module_aliases(ctx.tree, "repro.obs")
-        imported = _imported_names(ctx.tree, "repro.obs")
-        if not aliases and not imported:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if _is_attr_of(func, aliases):
-                attr = func.attr
-            elif isinstance(func, ast.Name) and func.id in imported:
-                attr = imported[func.id]
-            else:
-                continue
-            if attr not in _OBS_API:
-                yield ctx.finding(
-                    self, node,
-                    f"obs.{attr}() outside repro.obs; describe the batch "
-                    "in the record handed to obs.emit, or open an obs.span",
-                )
+        for ctx in self.files(project, config):
+            for node in ast.walk(ctx.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = project.qualify(ctx.relpath, node.func) or ""
+                module, _, attr = name.rpartition(".")
+                if module == "repro.obs" and attr not in _OBS_API:
+                    yield ctx.finding(
+                        self, node,
+                        f"obs.{attr}() outside repro.obs; describe the "
+                        "batch in the record handed to obs.emit, or open "
+                        "an obs.span",
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +382,7 @@ def _is_mutable_literal(node: ast.expr) -> bool:
                          ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        fn = _call_name(node.func)
+        fn = dotted_name(node.func)
         return fn is not None and fn.split(".")[-1] in _MUTABLE_CONSTRUCTORS
     return False
 
@@ -557,12 +393,11 @@ def _is_empty_container(node: ast.expr) -> bool:
     if isinstance(node, ast.Dict) and not node.keys:
         return True
     if isinstance(node, ast.Call) and not node.args and not node.keywords:
-        fn = _call_name(node.func)
+        fn = dotted_name(node.func)
         return fn is not None and fn.split(".")[-1] in _MUTABLE_CONSTRUCTORS
     return False
 
 
-@register
 class MutableSharedStateRule(Rule):
     """D5: mutable default arguments alias one object across calls, and
     module-level mutable accumulators couple runs through import order
@@ -579,7 +414,7 @@ class MutableSharedStateRule(Rule):
         "treats as independent"
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
+    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
         """Flag mutable defaults and module-level mutable bindings."""
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -618,54 +453,428 @@ class MutableSharedStateRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# D6 -- exception hygiene
+# F1 -- await atomicity
 
 
-_BROAD = ("Exception", "BaseException")
+def _self_attrs(expr: ast.expr) -> set[str]:
+    """Attribute names read directly off ``self`` anywhere in ``expr``."""
+    out: set[str] = set()
+    for node in ast.walk(expr):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            out.add(node.attr)
+    return out
 
 
-@register
-class ExceptionHygieneRule(Rule):
-    """D6: a broad except on a protocol path can absorb
-    :class:`~repro.faults.report.QuorumLostError` and convert a lost
-    quorum into a silently-wrong answer -- the exact failure mode the
-    q/2 threshold campaigns exist to rule out.  Swallowing
-    ``QuorumLostError`` (handler body of ``pass``) is flagged
-    everywhere."""
-
-    id = "D6"
-    name = "exception-hygiene"
-    zones = ()  # swallow check is global; broad check scopes itself
-    rationale = (
-        "lost quorums must surface as errors, never be absorbed into a "
-        "default value"
+def _expr_suspends(expr: ast.expr) -> bool:
+    """True when evaluating ``expr`` can suspend the coroutine."""
+    return any(
+        isinstance(n, (ast.Await, ast.Yield, ast.YieldFrom))
+        for n in ast.walk(expr)
     )
 
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        """Flag bare/broad handlers and swallowed quorum losses."""
-        in_protocol = any(
-            ctx.relpath == z or ctx.relpath.startswith(z + "/")
-            for z in PROTOCOL_ZONES
+
+class AwaitAtomicityRule(Rule):
+    """F1: in async service code, a shared ``self`` attribute that was
+    *guard-tested* before an ``await`` and is *written* after it without
+    re-validation is a check-then-act race: any other task may run -- and
+    mutate the object -- across the suspension point.  The asyncio
+    analogue of a lock-set detector: the "lock" held between check and
+    act is the scheduler slice, and every ``await`` releases it.
+
+    Re-reading the attribute in a test between the await and the write
+    (``if self._task is not task: return``) counts as re-validation and
+    clears the hazard; writes that happen before any await are atomic
+    with their guard and never flagged.
+    """
+
+    id = "F1"
+    name = "await-atomicity"
+    severity = "error"
+    zones = ASYNC_ATOMICITY_ZONES
+    rationale = (
+        "a guard tested before an await proves nothing after it; "
+        "re-validate shared state across suspension points"
+    )
+
+    def check(
+        self, project: Project, config: LintConfig
+    ) -> Iterator[Finding]:
+        """Flag unrevalidated guard->await->write sequences."""
+        zones = config.zones_for(self.id, self.zones)
+        for qname in sorted(project.functions):
+            fn = project.functions[qname]
+            if not fn.is_async or not in_zone(fn.relpath, zones):
+                continue
+            events: list[tuple[str, str | None, int]] = []
+            self._events(fn.node.body, events)
+            yield from self._scan(project, fn, events)
+
+    def _scan(
+        self,
+        project: Project,
+        fn: FunctionInfo,
+        events: list[tuple[str, str | None, int]],
+    ) -> Iterator[Finding]:
+        tested: dict[str, tuple[int, int]] = {}  # attr -> (idx, line)
+        last_await: tuple[int, int] | None = None
+        for idx, (kind, attr, line) in enumerate(events):
+            if kind == "test" and attr is not None:
+                tested[attr] = (idx, line)
+            elif kind == "await":
+                last_await = (idx, line)
+            elif (
+                kind == "write"
+                and attr is not None
+                and last_await is not None
+                and attr in tested
+                and tested[attr][0] < last_await[0]
+            ):
+                yield project.files[fn.relpath].finding_at(
+                    self, line,
+                    f"'self.{attr}' was guard-tested at line "
+                    f"{tested[attr][1]} but {fn.name}() awaited at line "
+                    f"{last_await[1]} before this write; re-validate "
+                    f"'self.{attr}' after the await (another task may "
+                    "have changed it across the suspension)",
+                )
+
+    def _events(
+        self,
+        body: list[ast.stmt],
+        out: list[tuple[str, str | None, int]],
+    ) -> None:
+        """Linearize guard-test / await / shared-write events in source
+        order (nested defs are their own coroutine scope and skipped)."""
+        for stmt in body:
+            if isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if isinstance(stmt, (ast.If, ast.While)):
+                self._expr_events(stmt.test, out, is_test=True)
+                self._events(stmt.body, out)
+                self._events(stmt.orelse, out)
+            elif isinstance(stmt, ast.Assert):
+                self._expr_events(stmt.test, out, is_test=True)
+            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+                self._expr_events(stmt.iter, out, is_test=False)
+                if isinstance(stmt, ast.AsyncFor):
+                    out.append(("await", None, stmt.lineno))
+                self._events(stmt.body, out)
+                self._events(stmt.orelse, out)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    self._expr_events(item.context_expr, out, is_test=False)
+                if isinstance(stmt, ast.AsyncWith):
+                    out.append(("await", None, stmt.lineno))
+                self._events(stmt.body, out)
+            elif isinstance(stmt, ast.Try):
+                self._events(stmt.body, out)
+                for h in stmt.handlers:
+                    self._events(h.body, out)
+                self._events(stmt.orelse, out)
+                self._events(stmt.finalbody, out)
+            else:
+                # simple statement: expression events first (the value
+                # is evaluated before the store), then writes
+                for child in ast.iter_child_nodes(stmt):
+                    if isinstance(child, ast.expr):
+                        self._expr_events(child, out, is_test=False)
+                if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = (
+                        stmt.targets
+                        if isinstance(stmt, ast.Assign)
+                        else [stmt.target]
+                    )
+                    for tgt in targets:
+                        elts = (
+                            tgt.elts
+                            if isinstance(tgt, (ast.Tuple, ast.List))
+                            else [tgt]
+                        )
+                        for t in elts:
+                            if (
+                                isinstance(t, ast.Attribute)
+                                and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"
+                            ):
+                                out.append(("write", t.attr, stmt.lineno))
+
+    @staticmethod
+    def _expr_events(
+        expr: ast.expr,
+        out: list[tuple[str, str | None, int]],
+        is_test: bool,
+    ) -> None:
+        if is_test:
+            for attr in sorted(_self_attrs(expr)):
+                out.append(("test", attr, expr.lineno))
+        if _expr_suspends(expr):
+            out.append(("await", None, expr.lineno))
+
+
+# ---------------------------------------------------------------------------
+# F2 -- unseeded randomness, wall clock and environment taint
+
+
+#: wall-clock reads; perf_counter/monotonic/process_time are duration
+#: measurements and stay legal (they never feed simulation state)
+_TIME_FNS = frozenset({"time", "time_ns", "localtime", "ctime", "monotonic_ns"})
+_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
+_ENTROPY_MODULES = ("secrets",)
+
+
+def _draw(call: ast.Call, name: str) -> str | None:
+    """Why a call to the import-resolved ``name`` is an unseeded draw
+    or a wall-clock read, or None when it is neither."""
+    module, _, fn = name.rpartition(".")
+    if module == "random":
+        if fn == "Random" and call.args:
+            return None  # explicitly seeded generator object
+        return (
+            f"random.{fn}() draws from implicit global state; use an "
+            "explicitly seeded random.Random(seed)"
         )
+    if module == "numpy.random":
+        if fn == "Generator":
+            return None  # wrapping an explicit BitGenerator
+        if fn != "default_rng":
+            return (
+                f"numpy.random.{fn}() uses the legacy global state; use a "
+                "seeded default_rng(seed)"
+            )
+        if call.args or call.keywords:
+            return None
+        return (
+            "default_rng() without a seed is nondeterministic; pass an "
+            "explicit seed"
+        )
+    if module == "time":
+        if fn == "gmtime" and (call.args or call.keywords):
+            return None  # formatting a supplied timestamp
+        if fn in _TIME_FNS or fn == "gmtime":
+            return (
+                f"time.{fn}() reads the wall clock; timestamps must come "
+                "from the logical clock or caller input"
+            )
+        return None
+    if name == "os.urandom":
+        return "os.urandom() is non-reproducible entropy"
+    if module == "uuid" and fn in ("uuid1", "uuid4"):
+        return f"uuid.{fn}() is non-reproducible"
+    if module.split(".")[0] in _ENTROPY_MODULES:
+        return f"{name}() is non-reproducible entropy"
+    if fn in _DATETIME_FNS and (
+        module.split(".")[0] == "datetime" or module == "date"
+    ):
+        return (
+            f"datetime {fn}() reads the wall clock; pass timestamps "
+            "explicitly"
+        )
+    return None
+
+
+class DeterminismTaintRule(Rule):
+    """F2: every random draw must come from an explicitly seeded
+    generator, nothing may read the wall clock into simulation state,
+    and no such source -- nor an ``os.environ`` read -- may reach a
+    deterministic zone through a call edge.
+
+    * An unseeded draw or wall-clock read is a finding anywhere, except
+      inside a function in ``repro/workloads`` and ``repro/faults``:
+      those packages construct randomized *plans* from caller-provided
+      seeds, so function-level draws are legal there (module-level
+      entropy never is).
+    * Such a legal draw is still a finding when something in a
+      deterministic zone calls its function: the rule walks the call
+      graph to the nearest deterministic-zone caller and reports that
+      witness chain, closing the laundering hole.  The same holds for
+      any source in a function outside the deterministic zones.
+    * ``os.environ`` / ``os.getenv`` reads are external input, so a read
+      in a deterministic zone, or reachable from one, splits behaviour
+      between hosts.
+    """
+
+    id = "F2"
+    name = "determinism-taint"
+    severity = "error"
+    zones = DETERMINISTIC_ZONES
+    rationale = (
+        "identical request sequences must replay bit-identically; entropy "
+        "enters only through explicit seeds, never through a helper call"
+    )
+
+    def check(self, project: Project, config: LintConfig) -> Iterator[Finding]:
+        """Flag unseeded draws, wall-clock reads, and sources reachable
+        from deterministic zones through the call graph."""
+        det_zones = config.zones_for(self.id, self.zones)
+        owners = {fn.node: fn for fn in project.functions.values()}
+
+        def in_det(qname: str) -> bool:
+            return in_zone(project.functions[qname].relpath, det_zones)
+
+        for relpath, ctx in project.files.items():
+            relaxed = in_zone(relpath, RANDOMNESS_ALLOWED_ZONES)
+            det_file = in_zone(relpath, det_zones)
+            seen: set[int] = set()
+            for node in ast.walk(ctx.tree):
+                source = self._source(project, relpath, node)
+                if source is None:
+                    continue
+                kind, desc = source
+                if kind == "draw" and not (
+                    relaxed and ctx.enclosing_function(node) is not None
+                ):
+                    yield ctx.finding(self, node, desc)
+                fn = next(
+                    (owners[a] for a in ctx.ancestors(node) if a in owners),
+                    None,
+                )
+                if fn is None or node.lineno in seen:
+                    continue
+                seen.add(node.lineno)
+                if det_file:
+                    if kind == "env":
+                        yield ctx.finding_at(
+                            self, node.lineno,
+                            f"{desc} inside a deterministic zone; resolve "
+                            "it once at a construction-time boundary and "
+                            "pass the value in",
+                        )
+                    continue
+                chain = project.shortest_caller_chain(fn.qname, in_det)
+                if chain is not None:
+                    yield ctx.finding_at(
+                        self, node.lineno,
+                        f"{desc}, and {fn.name}() is reachable from the "
+                        f"deterministic zone: {' -> '.join(chain)}; thread "
+                        "an explicit seed/value through the call chain",
+                    )
+
+    @staticmethod
+    def _source(
+        project: Project, relpath: str, node: ast.AST
+    ) -> tuple[str, str] | None:
+        """``(kind, description)`` when ``node`` is a nondeterminism
+        source: kind ``draw`` (unseeded draw, wall clock) or ``env``."""
+        if isinstance(node, ast.Call):
+            name = project.qualify(relpath, node.func)
+            if name is None:
+                return None
+            desc = _draw(node, name)
+            if desc is not None:
+                return "draw", desc
+            if name == "os.getenv" or name.rpartition(".")[0] == "os.environ":
+                return "env", "reads the process environment (os.environ/getenv)"
+        elif (
+            isinstance(node, ast.Subscript)
+            and project.qualify(relpath, node.value) == "os.environ"
+        ):
+            return "env", "reads the process environment (os.environ)"
+        return None
+
+
+# ---------------------------------------------------------------------------
+# F3 -- exception hygiene and loss-signal typestate
+
+
+_BROAD = frozenset({"Exception", "BaseException"})
+
+
+class LossTypestateRule(Rule):
+    """F3: a lost quorum surfaces as an error, never as a silently wrong
+    answer.  ``QuorumLostError`` is a machine fact (a shard lost its
+    write/read majority); the service maps it to
+    ``STATUS_LOST``/:class:`RequestLost` so clients see a *retriable*
+    error -- the exact failure mode the q/2 threshold campaigns exist to
+    rule out.
+
+    * A handler that swallows ``QuorumLostError`` (a body of ``pass``)
+      is a finding everywhere.
+    * On protocol paths (``PROTOCOL_ZONES``) a bare ``except``, or a
+      broad one without a re-raise, can absorb the signal and is a
+      finding.
+    * The typestate: the rule computes the transitive may-raise set of
+      every function (masking call sites covered by a matching
+      ``except``, including through the project's exception hierarchy)
+      and requires each public service-boundary function either to
+      handle the signal or to declare it ("Raises QuorumLostError") in
+      its docstring.
+    """
+
+    id = "F3"
+    name = "loss-typestate"
+    severity = "error"
+    zones = LOSS_BOUNDARY_ZONES
+    rationale = (
+        "every quorum-loss path must end in a handler, the STATUS_LOST "
+        "mapping, or a documented raise -- never a swallow or an "
+        "accidental escape"
+    )
+
+    def check(
+        self, project: Project, config: LintConfig
+    ) -> Iterator[Finding]:
+        """Flag swallowed or broadly caught loss signals, and undeclared
+        escapes at zone boundaries."""
+        for ctx in project.files.values():
+            yield from self._hygiene(ctx)
+        zones = config.zones_for(self.id, self.zones)
+        tracked = set(LOSS_SIGNALS)
+        escapes = self._escape_sets(project, tracked)
+        for qname in sorted(project.functions):
+            fn = project.functions[qname]
+            if not in_zone(fn.relpath, zones) or not fn.is_public:
+                continue
+            if fn.cls is not None and fn.cls.startswith("_"):
+                continue
+            for exc in sorted(escapes.get(qname, {})):
+                if exc in fn.docstring:
+                    continue  # declared raiser: callers are on notice
+                root, entry = escapes[qname][exc]
+                via = f" (enters via {entry})" if entry else ""
+                yield project.files[fn.relpath].finding_at(
+                    self, fn.line,
+                    f"{exc} can escape {fn.name}() unhandled and "
+                    f"undeclared: {root}{via}; catch it, map it to "
+                    f"STATUS_LOST, or declare 'Raises {exc}' in the "
+                    "docstring",
+                )
+
+    def _hygiene(self, ctx: FileContext) -> Iterator[Finding]:
+        """Swallowed quorum losses anywhere; bare/broad handlers without
+        a re-raise on protocol paths."""
+        in_protocol = in_zone(ctx.relpath, PROTOCOL_ZONES)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            if self._mentions_quorum(node.type) and self._swallows(node):
+            names = handler_names(node)
+            if "QuorumLostError" in names and all(
+                isinstance(s, (ast.Pass, ast.Continue))
+                or (isinstance(s, ast.Expr)
+                    and isinstance(s.value, ast.Constant))
+                for s in node.body
+            ):
                 yield ctx.finding(
                     self, node,
                     "QuorumLostError swallowed; degraded results must "
                     "propagate or be reported",
                 )
+            elif not in_protocol:
                 continue
-            if not in_protocol:
-                continue
-            if node.type is None:
+            elif node.type is None:
                 yield ctx.finding(
                     self, node,
                     "bare except on a protocol path; catch specific "
                     "exceptions",
                 )
-            elif self._is_broad(node.type) and not self._reraises(node):
+            elif names & _BROAD and not any(
+                isinstance(s, ast.Raise) for s in ast.walk(node)
+            ):
                 yield ctx.finding(
                     self, node,
                     "broad except without re-raise on a protocol path; "
@@ -673,41 +882,155 @@ class ExceptionHygieneRule(Rule):
                 )
 
     @staticmethod
-    def _is_broad(type_node: ast.expr) -> bool:
-        names = (
-            [e for e in type_node.elts]
-            if isinstance(type_node, ast.Tuple)
-            else [type_node]
-        )
-        for n in names:
-            nm = _call_name(n)
-            if nm is not None and nm.split(".")[-1] in _BROAD:
-                return True
-        return False
-
-    @staticmethod
-    def _mentions_quorum(type_node: ast.expr | None) -> bool:
-        if type_node is None:
+    def _covered(
+        project: Project, exc: str, handled: frozenset[str]
+    ) -> bool:
+        if not handled:
             return False
         names = (
-            [e for e in type_node.elts]
-            if isinstance(type_node, ast.Tuple)
-            else [type_node]
+            {exc, "Exception", "BaseException"}
+            | project.exception_ancestors(exc)
         )
-        return any(
-            (_call_name(n) or "").split(".")[-1] == "QuorumLostError"
-            for n in names
+        return bool(handled & names)
+
+    def _escape_sets(
+        self, project: Project, tracked: set[str]
+    ) -> dict[str, dict[str, tuple[str, str]]]:
+        """qname -> {exc -> (raise-site text, boundary entry text)}."""
+        esc: dict[str, dict[str, tuple[str, str]]] = {
+            q: {} for q in project.functions
+        }
+        for qname, fn in project.functions.items():
+            for r in fn.raises:
+                if r.exc in tracked and not self._covered(
+                    project, r.exc, r.handled
+                ):
+                    esc[qname].setdefault(
+                        r.exc, (f"raised at {fn.relpath}:{r.line}", "")
+                    )
+        changed = True
+        while changed:
+            changed = False
+            for qname in sorted(project.functions):
+                fn = project.functions[qname]
+                for site in fn.calls:
+                    if site.callee is None or site.callee == qname:
+                        continue
+                    for exc, (root, _entry) in esc.get(
+                        site.callee, {}
+                    ).items():
+                        if exc in esc[qname]:
+                            continue
+                        if self._covered(project, exc, site.handled):
+                            continue
+                        esc[qname][exc] = (
+                            root,
+                            f"{site.text}() at {fn.relpath}:{site.line}",
+                        )
+                        changed = True
+        return esc
+
+
+# ---------------------------------------------------------------------------
+# F4 -- engine-parity surface
+
+
+class EngineParityRule(Rule):
+    """F4: the scalar oracle and the vectorized executor are pinned
+    op-for-op by the differential harness, which only holds if every
+    function *both* engines reach stays exact-integer and
+    order-insensitive.  Float arithmetic on that shared surface can
+    round differently between a python scalar and a numpy array path;
+    set iteration can reorder between runs.  Instrumentation sinks
+    (stats sketches, the obs layer) are exempt -- their float math never
+    feeds simulation state.
+    """
+
+    id = "F4"
+    name = "engine-parity"
+    severity = "error"
+    zones = ENGINE_ARITHMETIC_ZONES
+    rationale = (
+        "code shared by the scalar and vector engines must stay exact "
+        "and order-stable or the executors can silently diverge"
+    )
+
+    def check(
+        self, project: Project, config: LintConfig
+    ) -> Iterator[Finding]:
+        """Flag float/order-sensitive ops on the shared engine surface."""
+        roots = config.parity_roots or PARITY_ROOTS
+        present = [r for r in roots if r in project.functions]
+        if len(present) < 2:
+            return  # no dual-engine surface in this tree
+        per_root = [project.reachable_from([r]) for r in present]
+        shared = set.intersection(*per_root)
+        exempt = ENGINE_ARITHMETIC_ZONES + PARITY_EXEMPT_ZONES
+        root_names = " and ".join(
+            r.rsplit("::", 1)[1] for r in present
         )
+        d1_cache: dict[str, list[Finding]] = {}
+        for qname in sorted(shared):
+            fn = project.functions[qname]
+            if in_zone(fn.relpath, exempt):
+                continue
+            for line, desc in self._dirty_ops(project, fn, d1_cache):
+                yield project.files[fn.relpath].finding_at(
+                    self, line,
+                    f"{desc} in {fn.name}(), which both engine roots "
+                    f"({root_names}) reach; keep the shared surface "
+                    "exact-integer and order-stable, or exempt the "
+                    "module explicitly",
+                )
 
     @staticmethod
-    def _swallows(handler: ast.ExceptHandler) -> bool:
-        return all(
-            isinstance(s, (ast.Pass, ast.Continue))
-            or (isinstance(s, ast.Expr)
-                and isinstance(s.value, ast.Constant))
-            for s in handler.body
-        )
+    def _dirty_ops(
+        project: Project,
+        fn: FunctionInfo,
+        d1_cache: dict[str, list[Finding]],
+    ) -> list[tuple[int, str]]:
+        """Float arithmetic + order-sensitive iteration inside ``fn``."""
+        out: list[tuple[int, str]] = []
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                out.append((node.lineno, "true division (float result)"))
+            elif isinstance(node, ast.AugAssign) and isinstance(
+                node.op, ast.Div
+            ):
+                out.append((node.lineno, "/= (float result)"))
+            elif isinstance(node, ast.Constant) and isinstance(
+                node.value, float
+            ):
+                out.append((node.lineno, f"float literal {node.value!r}"))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ):
+                out.append((node.lineno, "float() conversion"))
+        # order-sensitive set iteration: reuse the D1 detector on the
+        # containing file, filtered to this function's span
+        if fn.relpath not in d1_cache:
+            ctx = project.files.get(fn.relpath)
+            d1_cache[fn.relpath] = (
+                list(SetIterationRule().check_file(ctx)) if ctx else []
+            )
+        end = getattr(fn.node, "end_lineno", fn.node.lineno) or fn.node.lineno
+        for f in d1_cache[fn.relpath]:
+            if fn.node.lineno <= f.line <= end:
+                out.append((f.line, "order-sensitive set iteration"))
+        return sorted(set(out))
 
-    @staticmethod
-    def _reraises(handler: ast.ExceptHandler) -> bool:
-        return any(isinstance(s, ast.Raise) for s in ast.walk(handler))
+
+#: every rule, in id order: the one list the engine, ``--list-rules``,
+#: ``--select`` and the reports read
+RULES: tuple[Rule, ...] = (
+    SetIterationRule(),
+    FloatArithmeticRule(),
+    ObservabilityApiRule(),
+    MutableSharedStateRule(),
+    AwaitAtomicityRule(),
+    DeterminismTaintRule(),
+    LossTypestateRule(),
+    EngineParityRule(),
+)

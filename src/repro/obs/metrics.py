@@ -46,7 +46,7 @@ class _QuantileSketch:
 
     Keeps every ``stride``-th observation; when the retained sample set
     reaches ``cap`` it drops every other sample and doubles the stride.
-    No randomness is involved (rule D2: reservoir sampling would need an
+    No randomness is involved (rule F2: reservoir sampling would need an
     RNG), so identical observation sequences produce identical sketches.
     Estimates are nearest-rank quantiles over the retained samples --
     exact below ``cap`` observations, a stride-uniform subsample above.

@@ -2,7 +2,8 @@
 
 The six seeded violation fixtures under ``fixtures/violations/repro/``
 pin the acceptance criterion: ``repro lint`` must exit non-zero on each
-of them, one per rule D1-D6.
+of them.  They are named after the rule they were seeded for; the D2
+and D6 checks now report as F2 and F3.
 """
 
 import json
@@ -16,29 +17,31 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 VIOLATIONS = os.path.join(HERE, "fixtures", "violations", "repro")
 
+#: fixture id -> (rule reported, fixture file)
 SEEDED = {
-    "D1": os.path.join(VIOLATIONS, "core", "d1_set_iteration.py"),
-    "D2": os.path.join(VIOLATIONS, "core", "d2_unseeded_random.py"),
-    "D3": os.path.join(VIOLATIONS, "gf", "d3_float_division.py"),
-    "D4": os.path.join(VIOLATIONS, "kvstore", "d4_unguarded_obs.py"),
-    "D5": os.path.join(VIOLATIONS, "analysis", "d5_mutable_default.py"),
-    "D6": os.path.join(VIOLATIONS, "core", "d6_swallowed_quorum.py"),
+    "D1": ("D1", os.path.join(VIOLATIONS, "core", "d1_set_iteration.py")),
+    "D2": ("F2", os.path.join(VIOLATIONS, "core", "d2_unseeded_random.py")),
+    "D3": ("D3", os.path.join(VIOLATIONS, "gf", "d3_float_division.py")),
+    "D4": ("D4", os.path.join(VIOLATIONS, "kvstore", "d4_unguarded_obs.py")),
+    "D5": ("D5", os.path.join(VIOLATIONS, "analysis", "d5_mutable_default.py")),
+    "D6": ("F3", os.path.join(VIOLATIONS, "core", "d6_swallowed_quorum.py")),
 }
 
 
 class TestSeededViolations:
     @pytest.mark.parametrize("rule", sorted(SEEDED))
     def test_each_seeded_fixture_fails(self, rule, capsys):
-        code = main(["--no-baseline", SEEDED[rule]])
+        reported, path = SEEDED[rule]
+        code = main(["--no-baseline", path])
         out = capsys.readouterr().out
         assert code == 1
-        assert rule in out and "FAIL" in out
+        assert reported in out and "FAIL" in out
 
     def test_whole_fixture_tree_reports_every_rule(self, capsys):
         code = main(["--no-baseline", "--format", "json", VIOLATIONS])
         assert code == 1
         data = json.loads(capsys.readouterr().out)
-        assert set(data["counts"]) >= set(SEEDED)
+        assert set(data["counts"]) >= {r for r, _ in SEEDED.values()}
 
 
 class TestSelfCheck:
@@ -68,7 +71,7 @@ class TestExitCodes:
         assert main(["--no-baseline", str(p)]) == 0
 
     def test_unknown_rule_id_is_usage_error(self, capsys):
-        assert main(["--select", "D99", SEEDED["D1"]]) == 2
+        assert main(["--select", "D99", SEEDED["D1"][1]]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
@@ -83,7 +86,7 @@ class TestExitCodes:
                 "snippet": "s", "reason": "TODO: justify this exception",
             }],
         }))
-        code = main(["--baseline", str(b), SEEDED["D1"]])
+        code = main(["--baseline", str(b), SEEDED["D1"][1]])
         assert code == 2
         assert "justification" in capsys.readouterr().err
 
@@ -104,25 +107,25 @@ class TestExitCodes:
         assert "stale" in out
 
     def test_select_and_ignore_filter_rules(self, capsys):
-        assert main(["--no-baseline", "--select", "D3", SEEDED["D1"]]) == 0
+        assert main(["--no-baseline", "--select", "D3", SEEDED["D1"][1]]) == 0
         capsys.readouterr()
-        assert main(["--no-baseline", "--ignore", "D1", SEEDED["D1"]]) == 0
+        assert main(["--no-baseline", "--ignore", "D1", SEEDED["D1"][1]]) == 0
 
 
 class TestFormatsAndTools:
     def test_json_schema_shape(self, capsys):
-        code = main(["--no-baseline", "--format", "json", SEEDED["D3"]])
+        code = main(["--no-baseline", "--format", "json", SEEDED["D3"][1]])
         assert code == 1
         data = json.loads(capsys.readouterr().out)
         assert data["schema"] == 1 and data["ok"] is False
         assert data["counts"]["D3"]["new"] >= 1
         (finding,) = [f for f in data["new"] if f["rule"] == "D3"]
         assert finding["path"].startswith("repro/gf/")
-        assert set(data["rules"]) >= {"D1", "D2", "D3", "D4", "D5", "D6",
-                              "F1", "F2", "F3", "F4"}
+        assert set(data["rules"]) == {"D1", "D3", "D4", "D5",
+                                      "F1", "F2", "F3", "F4"}
 
     def test_markdown_format(self, capsys):
-        code = main(["--no-baseline", "--format", "md", SEEDED["D3"]])
+        code = main(["--no-baseline", "--format", "md", SEEDED["D3"][1]])
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("# Determinism lint report")
@@ -131,7 +134,7 @@ class TestFormatsAndTools:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("D1", "D2", "D3", "D4", "D5", "D6"):
+        for rule in ("D1", "D3", "D4", "D5", "F1", "F2", "F3", "F4"):
             assert rule in out
 
     def test_write_baseline_then_justify_then_clean(self, tmp_path, capsys):

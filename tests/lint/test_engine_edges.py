@@ -12,9 +12,9 @@ from repro.lint.engine import LintEngine
 
 CORE = "repro/core/_snippet.py"
 
-D2_ONLY = LintConfig(select=frozenset({"D2"}))
+F2_ONLY = LintConfig(select=frozenset({"F2"}))
 
-#: a D2 violation whose call spans three physical lines
+#: an F2 violation (unseeded draw) whose call spans three physical lines
 MULTILINE = (
     "import random\n"
     "x = random.random(\n"
@@ -25,33 +25,33 @@ MULTILINE = (
 
 class TestNoqaOnMultilineStatements:
     def test_multiline_statement_flagged_at_its_first_line(self):
-        found = lint_source(MULTILINE, CORE, D2_ONLY)
-        assert [f.rule for f in found] == ["D2"]
+        found = lint_source(MULTILINE, CORE, F2_ONLY)
+        assert [f.rule for f in found] == ["F2"]
         assert found[0].line == 2
 
     def test_noqa_on_anchor_line_suppresses(self):
         src = MULTILINE.replace(
-            "x = random.random(", "x = random.random(  # noqa: D2"
+            "x = random.random(", "x = random.random(  # noqa: F2"
         )
-        assert lint_source(src, CORE, D2_ONLY) == []
+        assert lint_source(src, CORE, F2_ONLY) == []
 
     def test_noqa_on_continuation_line_does_not_suppress(self):
         # suppression is per physical line: the comment must sit on the
         # line the finding anchors to, not somewhere inside the statement
         src = MULTILINE.replace(
-            "    # spread across lines", "    # noqa: D2"
+            "    # spread across lines", "    # noqa: F2"
         )
-        found = lint_source(src, CORE, D2_ONLY)
-        assert [f.rule for f in found] == ["D2"]
+        found = lint_source(src, CORE, F2_ONLY)
+        assert [f.rule for f in found] == ["F2"]
 
     def test_noqa_inside_string_literal_is_inert(self):
-        src = 'import random\nx = random.random()\ny = "# noqa: D2"\n'
-        found = lint_source(src, CORE, D2_ONLY)
-        assert [f.rule for f in found] == ["D2"]
+        src = 'import random\nx = random.random()\ny = "# noqa: F2"\n'
+        found = lint_source(src, CORE, F2_ONLY)
+        assert [f.rule for f in found] == ["F2"]
 
     def test_bare_noqa_silences_every_rule_on_the_line(self):
         src = "import random\nx = random.random()  # noqa\n"
-        assert lint_source(src, CORE, D2_ONLY) == []
+        assert lint_source(src, CORE, F2_ONLY) == []
 
 
 class TestFingerprintStability:
@@ -64,21 +64,21 @@ class TestFingerprintStability:
             "\n"
             "x = random.random()\n"
         )
-        (f1,) = lint_source(before, CORE, D2_ONLY)
-        (f2,) = lint_source(after, CORE, D2_ONLY)
+        (f1,) = lint_source(before, CORE, F2_ONLY)
+        (f2,) = lint_source(after, CORE, F2_ONLY)
         assert f1.line != f2.line
         assert f1.fingerprint == f2.fingerprint
 
     def test_baseline_matches_across_drift(self):
         (f,) = lint_source(
-            "import random\nx = random.random()\n", CORE, D2_ONLY
+            "import random\nx = random.random()\n", CORE, F2_ONLY
         )
         base = Baseline([BaselineEntry(
             rule=f.rule, path=f.path, snippet=f.snippet,
             reason="drift test entry",
         )])
         drifted = lint_source(
-            "import random\n\n\nx = random.random()\n", CORE, D2_ONLY
+            "import random\n\n\nx = random.random()\n", CORE, F2_ONLY
         )
         res = base.apply(drifted)
         assert res.new == [] and res.stale == []
@@ -86,14 +86,14 @@ class TestFingerprintStability:
 
     def test_changed_snippet_breaks_the_match(self):
         (f,) = lint_source(
-            "import random\nx = random.random()\n", CORE, D2_ONLY
+            "import random\nx = random.random()\n", CORE, F2_ONLY
         )
         base = Baseline([BaselineEntry(
             rule=f.rule, path=f.path, snippet=f.snippet,
             reason="drift test entry",
         )])
         edited = lint_source(
-            "import random\ny = random.random()\n", CORE, D2_ONLY
+            "import random\ny = random.random()\n", CORE, F2_ONLY
         )
         res = base.apply(edited)
         assert len(res.new) == 1  # the edited line is a new finding
@@ -113,7 +113,7 @@ class TestParseErrorsInPackages:
 
     def test_e0_reported_once_siblings_still_scanned(self, tmp_path):
         root = self._pkg(tmp_path)
-        found = LintEngine(D2_ONLY).run([str(root)])
+        found = LintEngine(F2_ONLY).run([str(root)])
         by_rule = {}
         for f in found:
             by_rule.setdefault(f.rule, []).append(f)
@@ -121,12 +121,12 @@ class TestParseErrorsInPackages:
         assert [f.path for f in by_rule["E0"]] == ["repro/core/broken.py"]
         assert "does not parse" in by_rule["E0"][0].message
         # ...and __main__.py was still parsed and linted
-        assert [f.path for f in by_rule["D2"]] == ["repro/core/__main__.py"]
+        assert [f.path for f in by_rule["F2"]] == ["repro/core/__main__.py"]
 
     def test_e0_carries_the_syntax_error_location(self, tmp_path):
         root = self._pkg(tmp_path)
         (e0,) = [
-            f for f in LintEngine(D2_ONLY).run([str(root)])
+            f for f in LintEngine(F2_ONLY).run([str(root)])
             if f.rule == "E0"
         ]
         assert e0.line == 1 and e0.col > 0

@@ -1,21 +1,20 @@
-"""Flow tier: the project model, the seeded F1-F4 fixtures, and the
-engine/CLI/baseline plumbing that makes ``--tier`` honest.
+"""The interprocedural rules F1-F4: the project model, the seeded
+fixtures, and the engine/CLI/baseline plumbing for partial runs.
 
 The eight trees under ``fixtures/flow/`` pin the acceptance criterion:
 one seeded violation per interprocedural rule (each must fire exactly
 once) and one idiomatic negative per rule (each must stay silent).
 """
 
+import ast
 import json
 import os
 import textwrap
 
 import pytest
 
+from repro.lint import RULES, LintConfig, LintEngine, Project
 from repro.lint.cli import main
-from repro.lint.config import LintConfig
-from repro.lint.flow import FlowEngine, all_flow_rules
-from repro.lint.flow.project import Project
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FLOW = os.path.join(HERE, "fixtures", "flow")
@@ -25,8 +24,14 @@ def tree(case: str) -> str:
     return os.path.join(FLOW, case)
 
 
+#: ``--select`` spelling of the interprocedural rules
+F_RULES = "F1,F2,F3,F4"
+#: ``--select`` spelling of the per-file rules
+D_RULES = "D1,D3,D4,D5"
+
+
 def run_flow(case: str, **cfg):
-    return FlowEngine(LintConfig(**cfg)).run([tree(case)])
+    return LintEngine(LintConfig(**cfg)).run([tree(case)])
 
 
 def write_tree(root, files: dict) -> str:
@@ -102,7 +107,7 @@ class TestSeededFlowFixtures:
                     return [halve(v) for v in vals]
                 """,
         })
-        found = FlowEngine(LintConfig()).run([root])
+        found = LintEngine(LintConfig()).run([root])
         assert [f.rule for f in found] == ["F4"], found
         assert found[0].path == "repro/core/protocol.py"
 
@@ -114,8 +119,8 @@ class TestSeededFlowFixtures:
 class TestProjectModel:
     def _project(self, tmp_path, files):
         root = write_tree(tmp_path, files)
-        project, errors = Project.build([root])
-        assert errors == []
+        project = Project.build([root])
+        assert project.errors == []
         return project
 
     def test_qualified_names_and_symbols(self, tmp_path):
@@ -251,8 +256,8 @@ class TestProjectModel:
         root = write_tree(tmp_path, {
             "repro/core/bad.py": "def broken(:\n",
         })
-        project, errors = Project.build([root])
-        assert [e.rule for e in errors] == ["E0"]
+        project = Project.build([root])
+        assert [e.rule for e in project.errors] == ["E0"]
         assert project.functions == {}
 
 
@@ -260,10 +265,10 @@ class TestProjectModel:
 # engine plumbing
 
 
-class TestFlowEngine:
-    def test_registry_has_all_four_rules(self):
-        assert {r.id for r in all_flow_rules()} == {"F1", "F2", "F3", "F4"}
-        assert all(r.tier == "flow" for r in all_flow_rules())
+class TestInterproceduralRules:
+    def test_rule_list_has_all_four_flow_rules(self):
+        flow = {r.id for r in RULES if r.id.startswith("F")}
+        assert flow == {"F1", "F2", "F3", "F4"}
 
     def test_noqa_suppresses_flow_finding(self, tmp_path):
         src = (tree("f1_pos") + "/repro/service/driver.py")
@@ -272,12 +277,12 @@ class TestFlowEngine:
             "self._task = None  # noqa: F1 -- F1",
         )
         root = write_tree(tmp_path, {"repro/service/driver.py": hazard})
-        assert FlowEngine(LintConfig()).run([root]) == []
+        assert LintEngine(LintConfig()).run([root]) == []
 
     def test_select_and_ignore_scope_the_run(self):
         assert run_flow("f1_pos", select=frozenset({"F2"})) == []
         assert run_flow("f1_pos", ignore=frozenset({"F1"})) == []
-        eng = FlowEngine(LintConfig(select=frozenset({"F2"})))
+        eng = LintEngine(LintConfig(select=frozenset({"F2"})))
         assert [r.id for r in eng.active_rules()] == ["F2"]
 
     def test_parity_roots_are_configurable(self, tmp_path):
@@ -296,11 +301,11 @@ class TestFlowEngine:
             ),
         })
         # default roots absent in this tree: F4 has no surface
-        assert FlowEngine(LintConfig()).run([root]) == []
+        assert LintEngine(LintConfig()).run([root]) == []
         cfg = LintConfig(parity_roots=(
             "repro/core/x.py::alpha", "repro/core/x.py::beta",
         ))
-        found = FlowEngine(cfg).run([root])
+        found = LintEngine(cfg).run([root])
         assert [f.rule for f in found] == ["F4"]
         assert found[0].path == "repro/core/y.py"
 
@@ -310,16 +315,19 @@ class TestFlowEngine:
 
 
 class TestFlowCLI:
+    """The test names predate ``--select``: "tier flow" is the F rules,
+    "tier file" the D rules, "tier all" the default run."""
+
     def test_tier_flow_fails_on_seeded_tree(self, capsys):
-        assert main(["--no-baseline", "--tier", "flow", tree("f1_pos")]) == 1
+        assert main(["--no-baseline", "--select", F_RULES, tree("f1_pos")]) == 1
         assert "F1" in capsys.readouterr().out
 
     def test_tier_file_ignores_flow_violation(self, capsys):
-        assert main(["--no-baseline", "--tier", "file", tree("f1_pos")]) == 0
+        assert main(["--no-baseline", "--select", D_RULES, tree("f1_pos")]) == 0
 
     def test_tier_all_reports_both_tiers(self, tmp_path, capsys):
         root = write_tree(tmp_path, {
-            # D1 (file tier) + the F1 fixture (flow tier) in one tree
+            # a D1 violation and the F1 fixture in one tree
             "repro/service/d.py": open(
                 tree("f1_pos") + "/repro/service/driver.py"
             ).read(),
@@ -337,10 +345,30 @@ class TestFlowCLI:
         data = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in data["new"]] == ["E0"]
 
+    def test_one_parse_per_file(self, tmp_path, monkeypatch, capsys):
+        root = write_tree(tmp_path, {
+            "repro/core/a.py": "def helper():\n    return 1\n",
+            "repro/core/b.py": (
+                "from repro.core.a import helper\n"
+                "def use():\n    return helper()\n"
+            ),
+            "repro/service/c.py": "async def run():\n    return 1\n",
+        })
+        calls = []
+        real_parse = ast.parse
+
+        def counting_parse(*args, **kwargs):
+            calls.append(kwargs.get("filename"))
+            return real_parse(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        assert main(["--no-baseline", root]) == 0
+        assert len(calls) == 3, calls
+
     def test_graph_out_writes_call_graph(self, tmp_path, capsys):
         out = tmp_path / "graph.json"
         code = main([
-            "--no-baseline", "--tier", "flow",
+            "--no-baseline", "--select", F_RULES,
             "--graph-out", str(out), tree("f3_neg"),
         ])
         assert code == 0
@@ -349,14 +377,6 @@ class TestFlowCLI:
         assert any(
             f["qname"].endswith("::serve_get") for f in data["functions"]
         )
-
-    def test_graph_out_requires_flow_tier(self, tmp_path, capsys):
-        code = main([
-            "--no-baseline", "--tier", "file",
-            "--graph-out", str(tmp_path / "g.json"), tree("f1_pos"),
-        ])
-        assert code == 2
-        assert "flow tier" in capsys.readouterr().err
 
     def test_flow_rule_ids_known_to_select(self, capsys):
         code = main([
@@ -368,12 +388,12 @@ class TestFlowCLI:
     def test_list_rules_spans_both_tiers(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "F1" in out and "D1" in out and "flow" in out
+        assert "F1" in out and "D1" in out
 
     def test_partial_tier_leaves_other_tiers_baseline_alone(
         self, tmp_path, capsys
     ):
-        """A --tier file run must not report F-rule entries stale."""
+        """A D-rules-only run must not report F-rule entries stale."""
         baseline = tmp_path / "b.json"
         (f,) = run_flow("f1_pos")
         baseline.write_text(json.dumps({
@@ -383,14 +403,14 @@ class TestFlowCLI:
                 "reason": "seeded fixture, grandfathered for this test",
             }],
         }))
-        # file tier: F1 never ran; the entry must not go stale
+        # D rules only: F1 never ran; the entry must not go stale
         code = main([
-            "--tier", "file", "--baseline", str(baseline), tree("f1_pos"),
+            "--select", D_RULES, "--baseline", str(baseline), tree("f1_pos"),
         ])
         assert code == 0, capsys.readouterr().out
-        # flow tier: the entry matches and grandfather applies
+        # F rules: the entry matches and grandfather applies
         code = main([
-            "--tier", "flow", "--baseline", str(baseline), tree("f1_pos"),
+            "--select", F_RULES, "--baseline", str(baseline), tree("f1_pos"),
         ])
         out = capsys.readouterr().out
         assert code == 0, out

@@ -1,4 +1,8 @@
-"""Fixture-driven positive + negative tests, one block per rule D1-D6.
+"""Fixture-driven positive + negative tests, one block per rule.
+
+The D2 and D6 blocks keep their historical names: those checks are now
+part of F2 (determinism-taint) and F3 (loss-typestate), and the
+findings carry the F ids.
 
 Each rule gets at least one snippet it must flag and one idiomatic
 snippet it must stay silent on; zone scoping is exercised by linting the
@@ -7,7 +11,7 @@ same source under different virtual ``repro/...`` paths.
 
 import pytest
 
-from repro.lint import LintConfig, lint_source
+from repro.lint import RULES, LintConfig, lint_source
 
 CORE = "repro/core/_snippet.py"
 GF = "repro/gf/_snippet.py"
@@ -86,13 +90,13 @@ class TestD1SetIteration:
 
 
 # ---------------------------------------------------------------------------
-# D2 -- unseeded randomness / wall clock
+# D2 -- unseeded randomness / wall clock (reported as F2)
 
 
 class TestD2UnseededRandomness:
     def test_global_random_flagged(self):
         src = "import random\nx = random.random()\n"
-        assert rules_of(lint_source(src, CORE)) == ["D2"]
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
 
     def test_seeded_random_instance_clean(self):
         src = "import random\nrng = random.Random(42)\nx = rng.random()\n"
@@ -100,7 +104,7 @@ class TestD2UnseededRandomness:
 
     def test_numpy_legacy_global_flagged(self):
         src = "import numpy as np\nx = np.random.rand(4)\n"
-        assert rules_of(lint_source(src, CORE)) == ["D2"]
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
 
     def test_seeded_default_rng_clean(self):
         src = "import numpy as np\nrng = np.random.default_rng(7)\n"
@@ -108,11 +112,11 @@ class TestD2UnseededRandomness:
 
     def test_unseeded_default_rng_flagged(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert rules_of(lint_source(src, CORE)) == ["D2"]
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
 
     def test_wall_clock_flagged(self):
         src = "import time\nt = time.time()\n"
-        assert rules_of(lint_source(src, CORE)) == ["D2"]
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
 
     def test_perf_counter_clean(self):
         # duration measurement is legal; it never feeds simulation state
@@ -129,11 +133,41 @@ class TestD2UnseededRandomness:
 
     def test_workloads_module_level_still_flagged(self):
         src = "import random\nX = random.random()\n"
-        assert rules_of(lint_source(src, WORKLOADS)) == ["D2"]
+        assert rules_of(lint_source(src, WORKLOADS)) == ["F2"]
 
     def test_from_import_binding_flagged(self):
         src = "from random import randrange\nx = randrange(10)\n"
-        assert rules_of(lint_source(src, CORE)) == ["D2"]
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
+
+    def test_module_imported_from_its_package_flagged(self):
+        src = "from numpy import random as npr\nx = npr.rand(4)\n"
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
+
+    @pytest.mark.parametrize("src", [
+        "import os\nx = os.urandom(8)\n",
+        "import uuid\nx = uuid.uuid4()\n",
+        "import secrets\nx = secrets.token_hex()\n",
+        "from datetime import datetime\nx = datetime.now()\n",
+        "import datetime as dt\nx = dt.date.today()\n",
+        "from time import gmtime\nx = gmtime()\n",
+    ])
+    def test_other_entropy_and_clock_sources_flagged(self, src):
+        assert rules_of(lint_source(src, CORE)) == ["F2"]
+
+    @pytest.mark.parametrize("src", [
+        "import time\nx = time.gmtime(0)\n",
+        "import numpy as np\ndef f(bits):\n    return np.random.Generator(bits)\n",
+        "import uuid\nx = uuid.uuid5(uuid.NAMESPACE_DNS, 'a')\n",
+        "def f(clock):\n    return clock.time()\n",
+    ])
+    def test_seeded_or_supplied_inputs_clean(self, src):
+        assert lint_source(src, CORE) == []
+
+    def test_environment_read_in_deterministic_zone_flagged(self):
+        src = "import os\ndef f():\n    return os.environ['X']\n"
+        found = lint_source(src, CORE)
+        assert rules_of(found) == ["F2"]
+        assert "process environment" in found[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +380,10 @@ class TestD4UnguardedObs:
         src = "import repro.obs\nrepro.obs.metrics()\n"
         assert rules_of(lint_source(src, CORE)) == ["D4"]
 
+    def test_module_imported_from_its_package_flagged(self):
+        src = "from repro import obs\nobs.tracer().event('x')\n"
+        assert rules_of(lint_source(src, CORE)) == ["D4"]
+
     def test_from_import_of_allowed_names_clean(self):
         src = "from repro.obs import emit, span\nemit(rec)\nspan('x')\n"
         assert lint_source(src, CORE) == []
@@ -478,17 +516,17 @@ class TestD5MutableSharedState:
 
 
 # ---------------------------------------------------------------------------
-# D6 -- exception hygiene
+# D6 -- exception hygiene (reported as F3)
 
 
 class TestD6ExceptionHygiene:
     def test_bare_except_on_protocol_path_flagged(self):
         src = "try:\n    go()\nexcept:\n    pass\n"
-        assert "D6" in rules_of(lint_source(src, CORE))
+        assert "F3" in rules_of(lint_source(src, CORE))
 
     def test_broad_except_without_reraise_flagged(self):
         src = "try:\n    go()\nexcept Exception:\n    x = 1\n"
-        assert rules_of(lint_source(src, CORE)) == ["D6"]
+        assert rules_of(lint_source(src, CORE)) == ["F3"]
 
     def test_broad_except_with_reraise_clean(self):
         src = (
@@ -507,7 +545,7 @@ class TestD6ExceptionHygiene:
             "except QuorumLostError:\n    pass\n"
         )
         found = lint_source(src, ANALYSIS)  # outside protocol zones
-        assert rules_of(found) == ["D6"]
+        assert rules_of(found) == ["F3"]
         assert "swallowed" in found[0].message
 
     def test_handled_quorum_lost_clean_outside_protocol(self):
@@ -547,12 +585,17 @@ class TestEngineMechanics:
     def test_ignore_drops_rules(self):
         src = "import random\nx = random.random()\nfor y in {1}:\n    use(y)\n"
         cfg = LintConfig(ignore=frozenset({"D1"}))
-        assert rules_of(lint_source(src, CORE, cfg)) == ["D2"]
+        assert rules_of(lint_source(src, CORE, cfg)) == ["F2"]
 
     def test_zone_override_rescopes_rule(self):
         cfg = LintConfig(zone_overrides={"D3": ("repro/analysis",)})
         assert rules_of(lint_source("x = 0.5\n", ANALYSIS, cfg)) == ["D3"]
         assert lint_source("x = 0.5\n", GF, cfg) == []
+
+    def test_rule_ids_unique(self):
+        ids = [r.id for r in RULES]
+        assert len(ids) == len(set(ids)), ids
+        assert ids == sorted(ids)
 
     def test_findings_sorted_and_fingerprinted(self):
         src = "x = 0.5\ny = a / b\n"

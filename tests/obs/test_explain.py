@@ -88,3 +88,20 @@ class TestCLI:
         assert rc == 0
         assert out.exists()
         assert "0 check violation(s), attack flagged" in capsys.readouterr().out
+
+    def test_quick_run_leaves_committed_report_alone(
+        self, result, tmp_path, monkeypatch, capsys
+    ):
+        # a --quick run without --out must not overwrite the committed
+        # full report at the default path
+        import repro.obs.explain as explain
+        from repro.cli import main
+
+        report = tmp_path / "benchmarks" / "results" / "explain_report.md"
+        report.parent.mkdir(parents=True)
+        report.write_text("sentinel full report\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(explain, "run_explain", lambda **kw: result)
+        assert main(["explain", "--quick"]) == 0
+        assert report.read_text() == "sentinel full report\n"
+        assert "report ->" not in capsys.readouterr().err
