@@ -27,12 +27,12 @@ exactly the ``i`` with ``i === s - j*rho (mod sigma)``; since
 ``rho === tau (mod sigma)``, the three excluded residues are
 ``{s, s + tau, s + 2*tau}`` -- one per j, each coprime-to-tau because
 ``1 <= s < tau``.  Counting valid pairs below a threshold is then pure
-floor arithmetic, and since every block of sigma consecutive ``i`` holds
-exactly ``3 sigma - 12`` valid pairs the count inverts with a division
-and one bracket check, which yields the O(log N) unranking the paper's
-Theorem 8 asserts (its proof was omitted there "due to space
-limitations"; the exhaustive tests for n = 3, 5 verify completeness and
-distinctness of this realization).
+floor arithmetic, and since every chunk of tau consecutive ``i`` holds
+exactly ``3 tau - 4`` valid pairs (one residue excluded per chunk) the
+count inverts with a division and one comparison, which yields the
+O(log N) unranking the paper's Theorem 8 asserts (its proof was omitted
+there "due to space limitations"; the exhaustive tests for n = 3, 5
+verify completeness and distinctness of this realization).
 
 The module also provides the physical *slot* of a copy inside its module
 (Lemma 4): module ``u`` stores the variables ``B_u (1, p_k; 0, 1) H0``
@@ -98,7 +98,7 @@ def batched_slots(
         [Cc[:, :1], F.vadd(F.vmul(Cc[:, 1:], e), Cd[:, 1:])], axis=1
     )
     Pd = np.concatenate([Cd[:, :1], Cc[:, 1:]], axis=1)
-    if np.any(Pc != 0) or np.any(Pd == 0):
+    if (Pc != 0).any() or (Pd == 0).any():
         raise ValueError(
             "B_u^-1 A g_i is outside H_{n-1}: a module is not the copy "
             "column's Lemma-1 module"
@@ -182,7 +182,7 @@ class OpCounter:
     field_ops: int = 0
     int_ops: int = 0
     dlogs: int = 0
-    #: bracket checks of the S4 inversion (one count each)
+    #: S4 pair inversions (one step each, beyond their int ops)
     fixups: int = 0
     calls: int = 0
     n: int = field(default=0)
@@ -239,6 +239,7 @@ class AddressLayer(Lemma4Slots):
         self.c4_per_s = (qn - 1) * (qn - 3)
         self.c4 = self.smax * self.c4_per_s
         self.M = self.c1 + self.c2 + self.c3 + self.c4
+        self._family_starts = np.cumsum([0, self.c1, self.c2, self.c3])
         if self.M != graph.M:
             raise AssertionError(
                 f"S-set sizes sum to {self.M}, but M = {graph.M}"
@@ -264,53 +265,42 @@ class AddressLayer(Lemma4Slots):
         (``x >= 0``).
 
         Valid means ``tau !| i`` and ``i mod sigma != r_j`` for the pair's
-        own ``j``; each invalid residue kills exactly one ``j`` at its
-        ``i`` values, and those ``i`` are never multiples of tau, so
+        own ``j``; as ``1 <= s < tau`` the residues are ``s + k*tau`` for
+        ``k = 0, 1, 2``, all below sigma.  Each kills exactly one ``j`` at
+        its ``i`` values, and those ``i`` are never multiples of tau, so
 
-            count(x) = 3 * (x - floor(x / tau)) - sum_j |{1 <= i <= x : i === r_j}|
+            count(x) = 3 * (x - floor(x / tau)) - sum_k (floor((x - s - k*tau) / sigma) + 1)
 
-        where, as ``1 <= r_j < sigma``, the last term is
-        ``floor((x - r_j) / sigma) + 1`` (0 for ``x < r_j``).
+        and since ``sigma = 3 tau`` Hermite's identity folds the sum over
+        ``k = 0, 1, 2`` into ``floor((x - s) / tau) + 1``.
         """
-        excl = sum((x - r) // self.sigma + 1 for r in self._s4_residues(s))
-        return 3 * (x - x // self.tau) - excl
+        return 3 * (x - x // self.tau) - (x - s) // self.tau - 1
 
     def _s4_excluded_j(self, s: Ints, i: Ints) -> Ints:
         """The ``j`` excluded at ``i`` (``i mod sigma == r_j``), or 3 when
-        all three are valid; the residues are distinct, so at most one."""
-        imod = i % self.sigma
-        return 3 - sum(
-            (imod == r) * (3 - j) for j, r in enumerate(self._s4_residues(s))
-        )
+        all three are valid.  ``(i - s) mod sigma`` is ``0, 2*tau, tau``
+        exactly at ``r_0, r_1, r_2``, and any other value excludes none."""
+        k, rem = divmod((i - s) % self.sigma, self.tau)
+        return 3 - (rem == 0) * (3 - (-k) % 3)
 
-    def _s4_invert(self, s: Ints, r: Ints) -> tuple[np.ndarray, Ints]:
+    def _s4_invert(self, s: Ints, r: Ints) -> tuple[Ints, Ints]:
         """The ``r``-th (0-based) valid pair ``(i, j)`` for parameter
         ``s``, ordered by ``i`` then ``j``, in O(1) operations.
 
-        ``sigma = 3 tau``, so every block of sigma consecutive ``i`` holds
-        three multiples of tau and each excluded residue once:
-        ``count(m sigma) = m (3 sigma - 12)``.  Within block
-        ``m = r // (3 sigma - 12)`` the ``t``-th non-multiple of tau is at
-        offset ``t + (t - 1) // (tau - 1)`` and brings three pairs, less
-        at most three exclusions in the whole block.  So with
-        ``t0 = w // 3 + 1`` (``w`` the rank within the block) the answer
-        is the ``t0``-th or the ``(t0 + 1)``-th non-multiple: one count
-        decides.  Raises unless ``count(i - 1) <= r < count(i)``.
+        Cut the ``i`` axis into chunks of tau: chunk ``C`` holds
+        ``i = C*tau + o`` for ``o = 1 .. tau - 1`` (the multiple of tau
+        that ends it has no pairs), a grid of ``3 (tau - 1)`` pairs at
+        positions ``3 (o - 1) + j``.  As ``1 <= s < tau``, exactly one
+        excluded residue ``s + k*tau`` falls in each chunk, at ``o = s``
+        with ``k = C mod 3``, and it excludes ``j = -k mod 3``.  So every
+        chunk holds ``3 tau - 4`` valid pairs, and the ``w``-th valid pair
+        of chunk ``C`` sits at grid position ``w``, or ``w + 1`` once ``w``
+        reaches the excluded position.
         """
-        sigma, tau = self.sigma, self.tau
-        m, w = divmod(r, 3 * sigma - 12)
-        t = w // 3 + 1
-        lo = m * sigma + t + (t - 1) // (tau - 1)
-        hi = m * sigma + t + 1 + t // (tau - 1)
-        i = np.where(self._s4_count(s, lo) > r, lo, hi)
-        within = r - self._s4_count(s, i - 1)
-        j_excl = self._s4_excluded_j(s, i)
-        pairs_at_i = (i % tau != 0) * (3 - (j_excl < 3))
-        if np.any((within < 0) | (within >= pairs_at_i)):
-            raise AssertionError(
-                "S4 unrank left its bracket count(i - 1) <= r < count(i)"
-            )
-        return i, within + (within >= j_excl)
+        chunk, w = divmod(r, 3 * self.tau - 4)
+        pos = w + (w >= 3 * (s - 1) + (-chunk) % 3)
+        o, j = divmod(pos, 3)
+        return chunk * self.tau + o + 1, j
 
     def _s4_unrank(self, s: int, r: int) -> tuple[int, int]:
         """Scalar :meth:`_s4_invert` with a range check."""
@@ -509,60 +499,36 @@ class AddressLayer(Lemma4Slots):
         entry arrays of canonical variable matrices.
 
         Same O(log N) structure as a fixed number of numpy passes (the
-        S4 inversion is a division and one bracket check); this is what
+        S4 inversion is a division and one comparison); this is what
         makes protocol experiments at N = 262k feasible.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        if np.any((idx < 0) | (idx >= self.M)):
+        if ((idx < 0) | (idx >= self.M)).any():
             raise ValueError("variable index out of range in vunrank")
         L = self.L
-        G = self.G
         rho, sigma = self.rho, self.sigma
         qn1 = (1 << self.n) - 1
-
-        e_alpha = np.zeros_like(idx)  # exponent of alpha; -1 means alpha == 1
-        e_beta = np.zeros_like(idx)
-        alpha_is_one = np.zeros(idx.shape, dtype=bool)
-        beta_is_one = np.zeros(idx.shape, dtype=bool)
-
-        b1 = idx < self.c1
-        b2 = (~b1) & (idx < self.c1 + self.c2)
-        b3 = (~b1) & (~b2) & (idx < self.c1 + self.c2 + self.c3)
-        b4 = (~b1) & (~b2) & (~b3)
-
-        # S1
-        i1 = idx[b1]
-        alpha_is_one[b1] = True
-        e_beta[b1] = (i1 * sigma + rho) % G
-
-        # S2 / S3 share parameter decoding
-        def s2_exponent(off: np.ndarray) -> np.ndarray:
-            j = off % 3
-            r = off // 3
-            t = r % qn1
-            s = r // qn1 + 1
-            return ((s + t * sigma) % rho + j * rho) % G
-
-        off2 = idx[b2] - self.c1
-        alpha_is_one[b2] = True
-        e_beta[b2] = s2_exponent(off2)
-
-        off3 = idx[b3] - self.c1 - self.c2
-        e_alpha[b3] = s2_exponent(off3)
-        beta_is_one[b3] = True
-
-        # S4: bracketed inversion of the pair count
-        off4 = idx[b4] - self.c1 - self.c2 - self.c3
-        s4 = off4 // self.c4_per_s + 1
-        i4, j4 = self._s4_invert(s4, off4 % self.c4_per_s)
-        e_alpha[b4] = s4 % G
-        e_beta[b4] = (i4 + j4 * rho) % G
-
-        alpha = np.where(alpha_is_one, np.int64(1), L.vexp(e_alpha))
-        beta = np.where(beta_is_one, np.int64(1), L.vexp(e_beta))
-        xz, yv = self.basis.vsplit(alpha)
-        zz, vv = self.basis.vsplit(beta)
-        return vcanon(self.K, (xz, yv, zz, vv))
+        # Every family is decoded for every index and the family picks its
+        # own; alpha or beta == 1 is exponent 0, and vexp reduces mod G.
+        fam = np.searchsorted(self._family_starts, idx, side="right") - 1
+        off = idx - self._family_starts[fam]
+        # S1: beta = lambda^(i sigma + rho)
+        e1 = off * sigma + rho
+        # S2 / S3: lambda^(k(s, t) + j rho), j minor, then t, then s
+        r, j = np.divmod(off, 3)
+        s, t = np.divmod(r, qn1)
+        e23 = (s + 1 + t * sigma) % rho + j * rho
+        # S4: closed-form inversion of the pair count
+        s4, r4 = np.divmod(off, self.c4_per_s)
+        s4 += 1
+        i4, j4 = self._s4_invert(s4, r4)
+        in3, in4 = fam == 2, fam == 3
+        e_alpha = np.where(in4, s4, np.where(in3, e23, 0))
+        e_beta = np.where(in4, i4 + j4 * rho, np.where(in3, 0, e23))
+        e_beta = np.where(fam == 0, e1, e_beta)
+        # alpha and beta as the two rows of one array: one pass per kernel
+        (x, z), (y, v) = self.basis.vsplit(L.vexp(np.array([e_alpha, e_beta])))
+        return vcanon(self.K, (x, y, z, v))
 
     # ------------------------------------------------------------------
     # vectorized rank
@@ -586,7 +552,7 @@ class AddressLayer(Lemma4Slots):
             cand = self._vrank_one(Ta, Tb, Tc, Td)
             take = (out < 0) & (cand >= 0)
             out[take] = cand[take]
-        if np.any(out < 0):
+        if (out < 0).any():
             raise AssertionError("vrank failed to match some matrices")
         return out
 
@@ -653,22 +619,20 @@ class AddressLayer(Lemma4Slots):
         s4 = ea % sigma
         m_s4 = (s4 >= 1) & (s4 <= self.smax)
         eb = (L.vlog(beta) + s4 - ea) % G
-        j_res = self._s4_residues(s4)
         for j in range(3):
             i_v = (eb - j * rho) % G
+            j_excl = self._s4_excluded_j(s4, i_v)
             ok = (
                 m_s4
                 & (out < 0)
                 & (i_v >= 1)
                 & (i_v < rho)
                 & (i_v % tau != 0)
-                & (i_v % sigma != j_res[j])
+                & (j_excl != j)
             )
             # rank within s: valid pairs with i' < i, plus the position
             # of j among the valid js at i
-            within_s = self._s4_count(s4, i_v - 1) + j - (
-                j > self._s4_excluded_j(s4, i_v)
-            )
+            within_s = self._s4_count(s4, i_v - 1) + j - (j > j_excl)
             idx = (
                 self.c1 + self.c2 + self.c3 + (s4 - 1) * self.c4_per_s + within_s
             )

@@ -153,22 +153,18 @@ class MemoryGraph:
         """Vectorized Lemma 1: for a batch of B variable matrices, return a
         ``(B, q+1)`` int64 array of module indices in copy order.
 
-        This is the protocol's inner kernel; everything is table lookups.
+        This is the protocol's inner kernel: the ``q+1`` copy matrices are
+        built as ``(B, q+1)`` arrays and indexed in one pass.
         """
         F = self.F
-        a, b, c, d = (np.asarray(x, dtype=np.int64) for x in mats)
-        B = a.shape[0]
-        out = np.empty((B, self.q + 1), dtype=np.int64)
-        out[:, 0] = self.modules.vindex((a, b, c, d))
-        for i in range(self.q):
-            ae = np.int64(self._fq_embedded[i])
-            # A @ (ae, 1; 1, 0) = (a*ae + b, a; c*ae + d, c)
-            na = F.vadd(F.vmul(a, np.full(B, ae)), b)
-            nb = a
-            nc = F.vadd(F.vmul(c, np.full(B, ae)), d)
-            nd = c
-            out[:, i + 1] = self.modules.vindex((na, nb, nc, nd))
-        return out
+        a, b, c, d = (np.asarray(x, dtype=np.int64)[:, None] for x in mats)
+        e = self._fq_embedded
+        # Column 0 is A; column i+1 is A @ (e_i, 1; 1, 0) = (a e_i + b, a; c e_i + d, c).
+        na = np.concatenate([a, F.vadd(F.vmul(a, e), b)], axis=1)
+        nb = np.concatenate([b, np.repeat(a, self.q, axis=1)], axis=1)
+        nc = np.concatenate([c, F.vadd(F.vmul(c, e), d)], axis=1)
+        nd = np.concatenate([d, np.repeat(c, self.q, axis=1)], axis=1)
+        return self.modules.vindex((na, nb, nc, nd))
 
     # -- Lemma 2: variables of a module ------------------------------------
 

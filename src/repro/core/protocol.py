@@ -232,7 +232,7 @@ def run_access_protocol(
         values = np.asarray(values, dtype=np.int64)
         if values.shape != (V,):
             raise ValueError("values must be shape (V,)")
-        if np.any((values < 0) | (values >= VALUE_LIMIT)):
+        if ((values < 0) | (values >= VALUE_LIMIT)).any():
             raise ValueError("write values must be in [0, 2^32)")
     if var_ids is not None:
         var_ids = np.asarray(var_ids, dtype=np.int64).reshape(-1)
@@ -250,7 +250,7 @@ def run_access_protocol(
     failed_arr = None
     if failed_modules is not None and len(failed_modules) > 0:
         failed_arr = np.asarray(failed_modules, dtype=np.int64).reshape(-1)
-        if np.any((failed_arr < 0) | (failed_arr >= n_modules)):
+        if ((failed_arr < 0) | (failed_arr >= n_modules)).any():
             raise ValueError(
                 f"failed_modules ids must be in [0, {n_modules}); got "
                 f"values outside the module pool"
@@ -262,7 +262,7 @@ def run_access_protocol(
         dead_copy = failed_mask[module_ids]  # (V, copies)
         alive_per_var = copies - dead_copy.sum(axis=1)
         doomed = alive_per_var < majority
-        if np.any(doomed):
+        if doomed.any():
             if not allow_partial:
                 raise ValueError(
                     f"{int(doomed.sum())} variables cannot reach quorum "
@@ -281,9 +281,9 @@ def run_access_protocol(
                 f"grey_modules must have shape ({n_modules},), one serve "
                 f"period per module"
             )
-        if np.any(grey < 1):
+        if (grey < 1).any():
             raise ValueError("grey_modules periods must be >= 1")
-        if np.all(grey <= 1):
+        if (grey <= 1).all():
             grey = None
     if retry_limit is not None and retry_limit < 1:
         raise ValueError("retry_limit must be >= 1")
@@ -477,7 +477,7 @@ def _run_phase(
     task_slot = slts.reshape(-1) if slts is not None else None
 
     iterations = 0
-    while not np.all(satisfied):
+    while not satisfied.all():
         if iterations >= max_iterations:  # pragma: no cover
             raise RuntimeError("protocol exceeded max_iterations")
         if retry_limit is not None and iterations >= retry_limit:

@@ -11,6 +11,15 @@ Both scalar operations (``mul``, ``inv``, ...) and numpy-vectorized bulk
 operations (``vmul``, ``vinv``, ...) are provided; the MPC protocol
 simulator computes module indices for hundreds of thousands of requests
 per round through the vectorized path.
+
+The tables make the vector kernels branch-free.  With ``G = 2^m - 1``,
+``log`` maps 0 to the sentinel ``2G`` and ``exp`` has ``4G + 1`` entries:
+``exp[i] = x^(i mod G)`` for ``i < 2G`` and 0 from ``2G`` on.  A sum of
+two logs then lands in the zero tail exactly when an operand is 0, so
+``vmul`` is ``exp[log a + log b]`` and ``vdiv`` is
+``exp[log a - log b + G]`` (the divisor is checked nonzero first), with
+no per-element select.  Zero divisors, logs of 0 and singular matrices
+are still refused, each by one ``.any()`` reduction.
 """
 
 from __future__ import annotations
@@ -111,25 +120,26 @@ class GF2m:
     # -- table construction -------------------------------------------
 
     def _build_tables(self) -> None:
+        # walk the powers of x in plain ints, then store each table once
         size = self.group_order
-        exp = np.empty(2 * size, dtype=np.int64)
+        powers = [0] * size
+        acc = 1
+        for i in range(size):
+            powers[i] = acc
+            acc <<= 1
+            if acc >> self.m:
+                acc ^= self.modulus
+        exp = np.zeros(4 * size + 1, dtype=np.int64)
+        exp[:size] = powers
+        exp[size : 2 * size] = powers
         log = np.full(self.order, -1, dtype=np.int64)
-        if self.m == 1:
-            exp[:] = 1
-            log[1] = 0
-        else:
-            acc = 1
-            for i in range(size):
-                exp[i] = acc
-                log[acc] = i
-                acc <<= 1
-                if acc >> self.m:
-                    acc ^= self.modulus
-            if acc != 1 or np.any(log[1:] < 0):
-                raise ValueError(
-                    f"modulus 0x{self.modulus:x} is not primitive for m={self.m}"
-                )
-        exp[size : 2 * size] = exp[:size]
+        log[exp[:size]] = np.arange(size)
+        # GF(2)^* = {1} under any modulus; otherwise x must generate
+        if self.m > 1 and (acc != 1 or (log[1:] < 0).any()):
+            raise ValueError(
+                f"modulus 0x{self.modulus:x} is not primitive for m={self.m}"
+            )
+        log[0] = 2 * size  # sentinel: any sum with it lands in the zero tail
         self._exp = exp
         self._log = log
 
@@ -252,46 +262,50 @@ class GF2m:
     vsub = vadd
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field multiplication (0-aware) of int arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        """Elementwise field multiplication of broadcastable int arrays.
+
+        Branch-free: a zero operand's log is the sentinel, which sends the
+        sum into the zero tail of the exp table.
+        """
+        out = self._exp[
+            self._log[np.asarray(a, dtype=np.int64)]
+            + self._log[np.asarray(b, dtype=np.int64)]
+        ]
         if _OP_SINK is not None:
-            _OP_SINK.mul += int(max(a.size, b.size))
-        la = self._log[a]
-        lb = self._log[b]
-        out = self._exp[np.where((la < 0) | (lb < 0), 0, la + lb)]
-        return np.where((a == 0) | (b == 0), 0, out)
+            _OP_SINK.mul += out.size
+        return out
 
     def vinv(self, a: np.ndarray) -> np.ndarray:
         """Elementwise inverse; raises if any element is 0."""
         a = np.asarray(a, dtype=np.int64)
         if _OP_SINK is not None:
-            _OP_SINK.mul += int(a.size)
-        if np.any(a == 0):
+            _OP_SINK.mul += a.size
+        if (a == 0).any():
             raise ZeroDivisionError("inverse of 0 in vectorized inv")
         return self._exp[self.group_order - self._log[a]]
 
     def vdiv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise division a / b; raises if any b is 0."""
-        a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if _OP_SINK is not None:
-            _OP_SINK.mul += int(max(a.size, b.size))
-        if np.any(b == 0):
+        if (b == 0).any():
             raise ZeroDivisionError("division by 0 in vectorized div")
-        la = self._log[a]
-        out = self._exp[np.where(la < 0, 0, la - self._log[b] + self.group_order)]
-        return np.where(a == 0, 0, out)
+        out = self._exp[
+            self._log[np.asarray(a, dtype=np.int64)]
+            - self._log[b]
+            + self.group_order
+        ]
+        if _OP_SINK is not None:
+            _OP_SINK.mul += out.size
+        return out
 
     def vpow(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise ``a**e`` for a fixed integer exponent e >= 0."""
         a = np.asarray(a, dtype=np.int64)
         if _OP_SINK is not None:
-            _OP_SINK.mul += int(a.size)
+            _OP_SINK.mul += a.size
         if e == 0:
             return np.ones_like(a)
-        la = self._log[a]
-        out = self._exp[np.where(la < 0, 0, (la * e) % self.group_order)]
+        out = self._exp[(self._log[a] * e) % self.group_order]
         return np.where(a == 0, 0, out)
 
     def vpowv(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -301,18 +315,16 @@ class GF2m:
         for nonzero bases (raises ZeroDivisionError on ``0**negative``,
         matching scalar :meth:`pow`).
         """
-        a = np.asarray(a, dtype=np.int64)
-        e = np.asarray(e, dtype=np.int64)
-        a, e = np.broadcast_arrays(a, e)
+        a, e = np.broadcast_arrays(
+            np.asarray(a, dtype=np.int64), np.asarray(e, dtype=np.int64)
+        )
         if _OP_SINK is not None:
-            _OP_SINK.mul += int(a.size)
+            _OP_SINK.mul += a.size
         zero = a == 0
-        if np.any(zero & (e < 0)):
+        if (zero & (e < 0)).any():
             raise ZeroDivisionError("0 to a negative power in vectorized pow")
-        la = self._log[a]
-        out = self._exp[np.where(la < 0, 0, (la * e) % self.group_order)]
-        out = np.where(zero, 0, out)
-        return np.where(zero & (e == 0), 1, out)
+        out = self._exp[(self._log[a] * e) % self.group_order]
+        return np.where(zero, e == 0, out)  # 0**0 == 1, else 0**e == 0
 
     def vsqrt(self, a: np.ndarray) -> np.ndarray:
         """Elementwise square root (unique in char 2): ``a^(2^(m-1))``."""
@@ -326,17 +338,16 @@ class GF2m:
         """Elementwise discrete log; raises if any element is 0."""
         a = np.asarray(a, dtype=np.int64)
         if _OP_SINK is not None:
-            _OP_SINK.dlog += int(a.size)
-        la = self._log[a]
-        if np.any(la < 0):
+            _OP_SINK.dlog += a.size
+        if (a == 0).any():
             raise ValueError("log of 0 in vectorized log")
-        return la.copy()
+        return self._log[a]
 
     def vexp(self, e: np.ndarray) -> np.ndarray:
         """Elementwise ``generator**e`` for an int array of exponents."""
         e = np.asarray(e, dtype=np.int64)
         if _OP_SINK is not None:
-            _OP_SINK.exp += int(e.size)
+            _OP_SINK.exp += e.size
         return self._exp[np.mod(e, self.group_order)]
 
     # -- iteration / misc ----------------------------------------------

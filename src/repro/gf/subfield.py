@@ -157,7 +157,7 @@ class FieldEmbedding:
     def vproject(self, b: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`project`; raises if any element is outside K."""
         out = self.inverse_table[np.asarray(b, dtype=np.int64)]
-        if np.any(out < 0):
+        if (out < 0).any():
             raise ValueError("some elements are not in the embedded subfield")
         return out
 
@@ -210,8 +210,8 @@ class BasisDecomposition:
         L = self.embedding.L
         u = np.asarray(u, dtype=np.int64)
         fro = L.vpow(u, 1 << self._d)
-        z_L = L.vmul(L.vadd(u, fro), np.full_like(u, self._denom_inv))
-        v_L = L.vadd(u, L.vmul(z_L, np.full_like(u, self.w)))
+        z_L = L.vmul(L.vadd(u, fro), self._denom_inv)
+        v_L = L.vadd(u, L.vmul(z_L, self.w))
         return self.embedding.vproject(z_L), self.embedding.vproject(v_L)
 
     def vcombine(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -219,7 +219,7 @@ class BasisDecomposition:
         L = self.embedding.L
         zi = self.embedding.vembed(z)
         vi = self.embedding.vembed(v)
-        return L.vadd(L.vmul(zi, np.full_like(zi, self.w)), vi)
+        return L.vadd(L.vmul(zi, self.w), vi)
 
     def __repr__(self) -> str:
         return (

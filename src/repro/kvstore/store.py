@@ -296,7 +296,7 @@ class ParallelKVStore:
         values = np.asarray(values, dtype=np.int64)
         if len(keys) != values.shape[0]:
             raise ValueError("keys and values must have equal length")
-        if np.any((values < 0) | (values >= 1 << 32)):
+        if ((values < 0) | (values >= 1 << 32)).any():
             raise ValueError("values must be in [0, 2^32)")
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:

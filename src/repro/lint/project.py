@@ -386,16 +386,29 @@ class Project:
         """Parse ``(path, source)`` pairs and build the full model.
 
         A file that does not parse is left out of the model and becomes
-        an ``E0`` finding in :attr:`errors`.
+        an ``E0`` finding in :attr:`errors`.  Files are keyed by their
+        ``repro/...`` path, so two different files with the same key
+        raise :class:`ValueError` naming both (the same file reached
+        through two spellings is read once).
         """
         proj = cls()
+        seen: dict[str, str] = {}
         for path, source in sources:
+            relpath = module_relpath(path)
+            first = seen.setdefault(relpath, path)
+            if first != path:
+                if os.path.realpath(first) == os.path.realpath(path):
+                    continue
+                raise ValueError(
+                    f"{first} and {path} both lint as {relpath}; "
+                    "scan them in separate runs"
+                )
             try:
                 tree = ast.parse(source, filename=path)
             except SyntaxError as exc:
                 proj.errors.append(Finding(
                     rule="E0",
-                    path=module_relpath(path),
+                    path=relpath,
                     line=exc.lineno or 1,
                     col=exc.offset or 0,
                     message=f"file does not parse: {exc.msg}",

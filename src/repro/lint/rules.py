@@ -626,6 +626,13 @@ class AwaitAtomicityRule(Rule):
 _TIME_FNS = frozenset({"time", "time_ns", "localtime", "ctime", "monotonic_ns"})
 _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 _ENTROPY_MODULES = ("secrets",)
+#: numpy.random constructors that are deterministic given a seed
+#: argument, like default_rng (a SeedSequence's seed is its entropy)
+_SEEDABLE_BITGENS = frozenset(
+    {"SeedSequence", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
+)
+#: keywords that pass their seed (None: a ``**`` splat, which may)
+_SEED_KEYWORDS = frozenset({"seed", "entropy", None})
 
 
 def _draw(call: ast.Call, name: str) -> str | None:
@@ -642,15 +649,15 @@ def _draw(call: ast.Call, name: str) -> str | None:
     if module == "numpy.random":
         if fn == "Generator":
             return None  # wrapping an explicit BitGenerator
-        if fn != "default_rng":
+        if fn != "default_rng" and fn not in _SEEDABLE_BITGENS:
             return (
                 f"numpy.random.{fn}() uses the legacy global state; use a "
                 "seeded default_rng(seed)"
             )
-        if call.args or call.keywords:
+        if call.args or any(k.arg in _SEED_KEYWORDS for k in call.keywords):
             return None
         return (
-            "default_rng() without a seed is nondeterministic; pass an "
+            f"{fn}() without a seed is nondeterministic; pass an "
             "explicit seed"
         )
     if module == "time":

@@ -96,7 +96,7 @@ class MPC:
             # An idle step still advances time.
             self.stats.record_step(0, 0, 0)
             return np.empty(0, dtype=np.int64)
-        if np.any((module_ids < 0) | (module_ids >= self.n_modules)):
+        if ((module_ids < 0) | (module_ids >= self.n_modules)).any():
             raise ValueError("request addresses a nonexistent module")
         if blocked is None:
             winners = self.arbiter(module_ids)

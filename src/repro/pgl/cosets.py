@@ -125,14 +125,14 @@ class ModuleCosets:
         # Branch z == 0: s = log(x / v) mod rho, t = -1.
         safe_v = np.where(z_zero, v, np.int64(1))
         safe_x = np.where(z_zero, x, np.int64(1))
-        if np.any((safe_v == 0) | (safe_x == 0)):
+        if ((safe_v == 0) | (safe_x == 0)).any():
             raise ValueError("singular matrix in vindex (z == 0 branch)")
         s0 = np.mod(F.vlog(F.vdiv(safe_x, safe_v)), self.rho)
         # Branch z != 0.
         det = F.vadd(F.vmul(x, v), F.vmul(y, z))
         safe_z = np.where(z_zero, np.int64(1), z)
         safe_det = np.where(z_zero, np.int64(1), det)
-        if np.any(safe_det == 0):
+        if (safe_det == 0).any():
             raise ValueError("singular matrix in vindex (z != 0 branch)")
         L = F.vlog(F.vdiv(safe_det, F.vmul(safe_z, safe_z)))
         s1 = np.mod(L, self.rho)

@@ -143,7 +143,7 @@ def vcanon(
     """
     a, b, c, d = (np.asarray(x, dtype=np.int64) for x in m)
     det = F.vadd(F.vmul(a, d), F.vmul(b, c))
-    if np.any(det == 0):
+    if (det == 0).any():
         raise ValueError("singular matrix in vectorized canonicalization")
     d_zero = d == 0
     # scale factor: 1/d where d != 0, else 1/c (c != 0 is guaranteed there)

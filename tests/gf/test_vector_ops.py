@@ -17,9 +17,11 @@ from repro.core.scheme import PPScheme
 from repro.gf.gf2m import GF2m, set_op_sink
 from repro.gf.opcount import GFOpSink
 
+F1 = GF2m(1)
 F3 = GF2m(3)
 F8 = GF2m(8)
-FIELDS = [F3, F8]
+F18 = GF2m.get(18)  # the n = 9 field F_{2^18} of the Section-4 layer
+FIELDS = [F1, F3, F8, F18]
 
 
 def field_and_elems(draw, min_size=1, max_size=32, nonzero=False):
@@ -149,6 +151,56 @@ def test_vector_zero_handling_matches_scalar():
         F3.log(0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_vector_op_matches_scalar_on_all_operands(m):
+    """Exhaustive over the field, zero included: the log sentinel and the
+    zero tail of the exp table must reproduce every scalar zero rule."""
+    f = GF2m(m)
+    elems = f.elements()
+    a, b = (x.ravel() for x in np.meshgrid(elems, elems))
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.vadd(a, b).tolist() == [f.add(x, y) for x, y in pairs]
+    assert f.vmul(a, b).tolist() == [f.mul(x, y) for x, y in pairs]
+    nz = b != 0
+    assert f.vdiv(a[nz], b[nz]).tolist() == [
+        f.div(x, y) for x, y in pairs if y != 0
+    ]
+    nonzero = elems[1:]
+    assert f.vinv(nonzero).tolist() == [f.inv(x) for x in nonzero.tolist()]
+    assert f.vlog(nonzero).tolist() == [f.log(x) for x in nonzero.tolist()]
+    for e in range(2 * f.order + 2):
+        assert f.vpow(elems, e).tolist() == [
+            f.pow(x, e) for x in elems.tolist()
+        ]
+    exps = np.arange(-2 * f.order, 2 * f.order + 2, dtype=np.int64)
+    base, ex = (x.ravel() for x in np.meshgrid(elems, exps))
+    ok = (base != 0) | (ex >= 0)
+    assert f.vpowv(base[ok], ex[ok]).tolist() == [
+        f.pow(x, k) for x, k in zip(base[ok].tolist(), ex[ok].tolist())
+    ]
+    assert f.vexp(exps).tolist() == [f.exp(k) for k in exps.tolist()]
+    assert f.vsqrt(elems).tolist() == [f.sqrt(x) for x in elems.tolist()]
+    assert f.vfrobenius(elems, 2).tolist() == [
+        f.frobenius(x, 2) for x in elems.tolist()
+    ]
+    # every zero the scalar ops refuse, the vector ops refuse too
+    zero = np.zeros(1, dtype=np.int64)
+    for x in elems.tolist():
+        with pytest.raises(ZeroDivisionError):
+            f.div(x, 0)
+        with pytest.raises(ZeroDivisionError):
+            f.vdiv(np.array([x]), zero)
+    for vec, scalar, exc in (
+        (lambda: f.vinv(zero), lambda: f.inv(0), ZeroDivisionError),
+        (lambda: f.vlog(zero), lambda: f.log(0), ValueError),
+        (lambda: f.vpowv(zero, -1), lambda: f.pow(0, -1), ZeroDivisionError),
+    ):
+        with pytest.raises(exc):
+            vec()
+        with pytest.raises(exc):
+            scalar()
+
+
 # ---------------------------------------------------------------------------
 # opcount parity: one bulk op of size k == k scalar ops, same counters
 
@@ -188,6 +240,23 @@ def test_opcount_parity_bulk_vs_scalar(data):
     assert got == want
     assert sink_s.as_dict() == sink_v.as_dict()
     assert sink_v.total() == 6 * a.size
+
+
+def test_broadcast_ops_charge_their_output_size():
+    """A ``(3, 1)`` by ``(1, 4)`` op is 12 elementwise ops, not 4."""
+    a = np.array([[1], [2], [3]], dtype=np.int64)
+    b = np.array([[1, 2, 4, 5]], dtype=np.int64)
+    sink = GFOpSink()
+    prev = set_op_sink(sink)
+    try:
+        shapes = {
+            F3.vadd(a, b).shape, F3.vmul(a, b).shape, F3.vdiv(a, b).shape,
+            F3.vpowv(a, b).shape,
+        }
+    finally:
+        set_op_sink(prev)
+    assert shapes == {(3, 4)}
+    assert sink.as_dict() == {"add": 12, "mul": 36, "dlog": 0, "exp": 0}
 
 
 def test_vsqrt_vfrobenius_charge_like_scalar():

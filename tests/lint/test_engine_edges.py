@@ -1,14 +1,19 @@
 """Engine edge cases: noqa on multi-line statements, fingerprint
-stability across line drift, and parse errors inside real packages.
+stability across line drift, parse errors inside real packages, and
+two scanned files that share one module path.
 
 These pin behaviours the rule tests take for granted: suppression is
 *per physical line* (the line a finding anchors to), baseline identity
 is line-number-free, and one broken file never hides its siblings.
 """
 
+import pytest
+
 from repro.lint import LintConfig, lint_source
 from repro.lint.baseline import Baseline, BaselineEntry
+from repro.lint.cli import main
 from repro.lint.engine import LintEngine
+from repro.lint.project import Project
 
 CORE = "repro/core/_snippet.py"
 
@@ -130,3 +135,34 @@ class TestParseErrorsInPackages:
             if f.rule == "E0"
         ]
         assert e0.line == 1 and e0.col > 0
+
+
+class TestDuplicateModulePaths:
+    """Files are keyed by their ``repro/...`` path; a second file with the
+    same key must not silently replace the first."""
+
+    def _trees(self, tmp_path):
+        roots = []
+        for name in ("a", "b"):
+            pkg = tmp_path / name / "repro" / "core"
+            pkg.mkdir(parents=True)
+            (pkg / "step.py").write_text("import random\nx = random.random()\n")
+            roots.append(str(tmp_path / name / "repro"))
+        return roots
+
+    def test_two_files_with_one_module_path_refused(self, tmp_path):
+        a, b = self._trees(tmp_path)
+        with pytest.raises(ValueError, match="repro/core/step.py") as exc:
+            Project.build([a, b])
+        assert a in str(exc.value) and b in str(exc.value)
+
+    def test_cli_turns_the_clash_into_a_usage_error(self, tmp_path, capsys):
+        code = main(["--no-baseline", *self._trees(tmp_path)])
+        assert code == 2
+        assert "both lint as repro/core/step.py" in capsys.readouterr().err
+
+    def test_one_file_reached_twice_is_linted_once(self, tmp_path):
+        a, _ = self._trees(tmp_path)
+        twice = [a, str(tmp_path / "a" / "." / "repro" / "core" / "step.py")]
+        found = LintEngine(F2_ONLY).run(twice)
+        assert [f.path for f in found] == ["repro/core/step.py"]

@@ -114,6 +114,30 @@ class TestD2UnseededRandomness:
         src = "import numpy as np\nrng = np.random.default_rng()\n"
         assert rules_of(lint_source(src, CORE)) == ["F2"]
 
+    @pytest.mark.parametrize("call", [
+        "np.random.SeedSequence([3, 1])",
+        "np.random.SeedSequence(entropy=3)",
+        "np.random.PCG64(1)",
+        "np.random.PCG64DXSM(seed=1)",
+        "np.random.Philox(1)",
+        "np.random.SFC64(1)",
+        "np.random.MT19937(1)",
+        "np.random.Generator(np.random.PCG64(1))",
+    ])
+    def test_seeded_bit_generators_clean(self, call):
+        src = f"import numpy as np\nbits = {call}\n"
+        assert lint_source(src, CORE) == []
+
+    @pytest.mark.parametrize("call", [
+        "SeedSequence()", "SeedSequence(pool_size=8)", "PCG64()",
+        "PCG64DXSM()", "Philox()", "SFC64()", "MT19937()",
+    ])
+    def test_unseeded_bit_generators_flagged(self, call):
+        src = f"import numpy as np\nbits = np.random.{call}\n"
+        found = lint_source(src, CORE)
+        assert rules_of(found) == ["F2"]
+        assert "without a seed" in found[0].message
+
     def test_wall_clock_flagged(self):
         src = "import time\nt = time.time()\n"
         assert rules_of(lint_source(src, CORE)) == ["F2"]
