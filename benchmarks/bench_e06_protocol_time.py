@@ -111,27 +111,26 @@ def test_e06_engine_speedup(benchmark):
     cost would otherwise mask the kernel-time difference.
     """
     from repro import obs
+    from repro.core.engine import use
 
     s9 = PPScheme(2, 9)
     idx = s9.random_request_set(s9.N, seed=3)
     mods = s9.module_ids_for(idx)
     obs.disable_metrics()
     try:
-        vec = timed(
-            benchmark, "e06.protocol_full_n9_vector",
-            lambda: run_access_protocol(
-                mods, s9.N, s9.majority, engine="vector"
-            ),
-        )
+        with use("vector"):
+            vec = timed(
+                benchmark, "e06.protocol_full_n9_vector",
+                lambda: run_access_protocol(mods, s9.N, s9.majority),
+            )
         # the benchmark fixture is single-use; the scalar leg goes
         # straight through the session recorder (same clock + summary)
-        sca = recorder().measure(
-            "e06.protocol_full_n9_scalar",
-            lambda: run_access_protocol(
-                mods, s9.N, s9.majority, engine="scalar"
-            ),
-            repeats=3,
-        )
+        with use("scalar"):
+            sca = recorder().measure(
+                "e06.protocol_full_n9_scalar",
+                lambda: run_access_protocol(mods, s9.N, s9.majority),
+                repeats=3,
+            )
     finally:
         obs.enable_metrics()
     speedup = sca["median"] / vec["median"]

@@ -111,6 +111,7 @@ def test_e08_engine_speedup(benchmark):
     is engine-independent and budgeted by its own test.
     """
     from repro import obs
+    from repro.core.engine import use
     from repro.core.protocol import run_access_protocol
 
     N, M = 16383, 87381
@@ -127,8 +128,9 @@ def test_e08_engine_speedup(benchmark):
         jobs.append((sch.placement(i), sch.N, sch.quorum_for("read")))
 
     def sweep(engine):
-        for mods, n_mod, quorum in jobs:
-            run_access_protocol(mods, n_mod, quorum, engine=engine)
+        with use(engine):
+            for mods, n_mod, quorum in jobs:
+                run_access_protocol(mods, n_mod, quorum)
 
     obs.disable_metrics()
     try:

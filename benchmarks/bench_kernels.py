@@ -34,9 +34,15 @@ def test_kernel_gf_vinv(benchmark):
 
 
 def test_kernel_module_vindex(benchmark):
+    # 500k seeded random nonsingular canonical matrices (a, b; c, 1);
+    # all of PGL2(2^9) would be a 512^3-entry meshgrid per array
     g = MemoryGraph(2, 9)
-    mats = g.group_element_arrays()
-    sub = tuple(x[:500_000] for x in mats)
+    F = g.F
+    rng = np.random.default_rng(2)
+    a, b, c = rng.integers(0, F.order, size=(3, 600_000))
+    ok = F.vadd(a, F.vmul(b, c)) != 0  # det of (a, b; c, 1)
+    sub = tuple(x[ok][:500_000] for x in (a, b, c, np.ones_like(a)))
+    assert sub[0].size == 500_000
     timed(benchmark, "kernels.module_vindex_500k_n9",
           lambda: g.modules.vindex(sub))
 

@@ -89,6 +89,7 @@ import sys
 import numpy as np
 
 from repro.analysis.report import Table
+from repro.core import engine
 from repro.core.bounds import expansion_lower_bound, phi_bound
 from repro.core.scheme import PPScheme
 
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also write each scheme's JSONL trace here")
     vp.add_argument("--no-canary", action="store_true",
                     help="skip the stale-majority checker self-test")
-    vp.add_argument("--engine", choices=["vector", "scalar"],
+    vp.add_argument("--engine", choices=engine.ENGINES,
                     default="vector",
                     help="protocol engine every scheme runs under")
     vp.add_argument(
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "entries (bounded-memory assertion)")
     vp.add_argument("--rss-budget-mb", type=int, default=None,
                     help="fail if process peak RSS exceeds this many MiB")
-    vp.add_argument("--engine", choices=["vector", "scalar"],
+    vp.add_argument("--engine", choices=engine.ENGINES,
                     default="vector", help="protocol engine under watch")
     vp.add_argument(
         "--out", metavar="DIR",
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--victims", type=int, default=3)
     vp.add_argument("--window", type=int, default=8,
                     help="rounds the streaming checker keeps open")
-    vp.add_argument("--engine", choices=["vector", "scalar"],
+    vp.add_argument("--engine", choices=engine.ENGINES,
                     default="vector",
                     help="protocol engine the attack runs under")
     vp.add_argument(
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="requests admitted per PRAM round")
         sp.add_argument("--max-pending", type=int, default=4096,
                         help="admission queue depth before backpressure")
-        sp.add_argument("--engine", choices=["vector", "scalar"],
+        sp.add_argument("--engine", choices=engine.ENGINES,
                         default="vector", help="protocol engine")
         sp.add_argument("--seed", type=int, default=0)
 
@@ -703,12 +704,11 @@ def _conform_fuzz(args) -> int:
         total_ops=args.ops,
         trace_dir=args.trace_dir,
         max_batch=args.max_batch,
-        engine=args.engine,
     )
     print(render_markdown(result))
     ok = result.ok
     if not args.no_canary:
-        canary = stale_majority_canary(seed=args.seed, engine=args.engine)
+        canary = stale_majority_canary(seed=args.seed)
         verdict = "DETECTED" if canary.detected else "MISSED"
         print(
             f"\nStale-majority canary: {verdict} "
@@ -826,7 +826,6 @@ def _watch_fuzz(args) -> int:
         max_batch=args.max_batch,
         snapshot_every=args.snapshot_every,
         on_snapshot=progress,
-        engine=args.engine,
     )
     rss_mb = _peak_rss_mb()
     ok = result.ok
@@ -877,8 +876,7 @@ def _watch_attack(args) -> int:
     from repro.conformance.streaming import run_watchdog_canary
 
     result = run_watchdog_canary(
-        seed=args.seed, n_victims=args.victims, window=args.window,
-        engine=args.engine,
+        seed=args.seed, n_victims=args.victims, window=args.window
     )
     verdict = "DETECTED ONLINE" if result.detected_online else "MISSED"
     print(
@@ -982,7 +980,6 @@ def _service_config(args):
         round_capacity=args.round_capacity,
         max_pending=args.max_pending,
         pipeline_depth=getattr(args, "pipeline_depth", 1),
-        engine=args.engine,
         seed=args.seed,
     )
 
@@ -1163,7 +1160,10 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # the four ``--engine`` flags select the protocol executor for
+        # their whole command; other commands keep the current one
+        with engine.use(getattr(args, "engine", engine.current())):
+            return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+import repro.core.engine as _engine
 from repro.conformance.checker import ConsistencyChecker, ViolationReport
 from repro.conformance.recorder import record
 from repro.faults.attacks import build_stale_majority, payload_values
@@ -176,15 +177,12 @@ def fuzz_scheme(
     plan: list[tuple[str, np.ndarray]],
     checker: ConsistencyChecker | None = None,
     trace_path: str | None = None,
-    engine: str | None = None,
 ) -> SchemeFuzzRow:
     """Replay one batch plan through ``scheme``, diff against the serial
     oracle, and run the consistency checker over the recorded trace.
 
     Optionally persists the full JSONL trace to ``trace_path`` (done
     unconditionally, so a failing CI run leaves the evidence behind).
-    ``engine`` selects the protocol executor for every access
-    (:mod:`repro.core.engine`); the verdicts must not depend on it.
     """
     checker = checker or ConsistencyChecker()
     oracle: dict[int, int] = {}
@@ -197,11 +195,11 @@ def fuzz_scheme(
             ops += idx.size
             if kind == "write":
                 vals = _value_for(t, idx)
-                scheme.write(idx, values=vals, store=store, time=t, engine=engine)
+                scheme.write(idx, values=vals, store=store, time=t)
                 for v, x in zip(idx, vals):
                     oracle[int(v)] = int(x)
             else:
-                res = scheme.read(idx, store=store, time=t, engine=engine)
+                res = scheme.read(idx, store=store, time=t)
                 want = np.array(
                     [oracle.get(int(v), -1) for v in idx], dtype=np.int64
                 )
@@ -210,7 +208,7 @@ def fuzz_scheme(
         final_mismatches = 0
         if oracle:
             sweep = np.array(sorted(oracle), dtype=np.int64)
-            res = scheme.read(sweep, store=store, time=t + 1, engine=engine)
+            res = scheme.read(sweep, store=store, time=t + 1)
             want = np.array([oracle[int(v)] for v in sweep], dtype=np.int64)
             final_mismatches = int(np.count_nonzero(res.values != want))
             ops += sweep.size
@@ -233,17 +231,17 @@ def run_fuzz(
     schemes: list[MemoryScheme] | None = None,
     trace_dir: str | None = None,
     max_batch: int = 32,
-    engine: str | None = None,
 ) -> FuzzResult:
     """Differential fuzz: one workload, every scheme, three verdicts.
 
     The workload is drawn over the *smallest* variable domain in the
     scheme set so all schemes replay identical batches.  When
     ``trace_dir`` is given, each scheme's JSONL trace is written there
-    (``trace_<scheme>.jsonl``) for post-mortem checking.
+    (``trace_<scheme>.jsonl``) for post-mortem checking.  Every access
+    runs under the selected protocol executor
+    (:func:`repro.core.engine.current`), which the result records; the
+    verdicts must not depend on it.
     """
-    from repro.core.engine import resolve_engine
-
     schemes = schemes if schemes is not None else conformance_schemes()
     if not schemes:
         raise ValueError("need at least one scheme to fuzz")
@@ -252,7 +250,7 @@ def run_fuzz(
         M, total_ops, seed=seed, max_batch=min(max_batch, M)
     )
     result = FuzzResult(
-        seed=seed, total_ops=total_ops, M=M, engine=resolve_engine(engine)
+        seed=seed, total_ops=total_ops, M=M, engine=_engine.current()
     )
     for i, scheme in enumerate(schemes):
         trace_path = None
@@ -262,7 +260,7 @@ def run_fuzz(
                 trace_dir, f"trace_{i}_{scheme.name.replace(' ', '_')}.jsonl"
             )
         result.rows.append(
-            fuzz_scheme(scheme, plan, trace_path=trace_path, engine=engine)
+            fuzz_scheme(scheme, plan, trace_path=trace_path)
         )
     return result
 
@@ -290,9 +288,7 @@ class CanaryResult:
         )
 
 
-def stale_majority_canary(
-    seed: int = 0, n_victims: int = 3, engine: str | None = None
-) -> CanaryResult:
+def stale_majority_canary(seed: int = 0, n_victims: int = 3) -> CanaryResult:
     """Force the one unmaskable fault and demand the checker sees it.
 
     On the q = 2 construction (3 copies, majority 2, tolerance 1): write
@@ -310,7 +306,7 @@ def stale_majority_canary(
     online watchdog equivalent is
     :func:`repro.conformance.streaming.run_watchdog_canary`).
     """
-    attack = build_stale_majority(seed=seed, n_victims=n_victims, engine=engine)
+    attack = build_stale_majority(seed=seed, n_victims=n_victims)
     with record() as rec:
         attack.seed_history()
         attack.go_stale()  # q/2 + 1 stale copies, fresh remnant cut

@@ -485,7 +485,6 @@ def run_watchdog_canary(
     seed: int = 0,
     n_victims: int = 3,
     window: int = 8,
-    engine: str | None = None,
 ) -> OnlineCanaryResult:
     """Run the q/2+1 stale-majority attack under a live watchdog.
 
@@ -501,7 +500,7 @@ def run_watchdog_canary(
     from repro.faults.attacks import build_stale_majority, payload_values
 
     # -- attack run: q/2 + 1 stale copies, fresh remnant unreachable ----
-    attack = build_stale_majority(seed=seed, n_victims=n_victims, engine=engine)
+    attack = build_stale_majority(seed=seed, n_victims=n_victims)
     with _watching(window) as watchdog:
         attack.seed_history()
         watchdog.poll()
@@ -523,7 +522,7 @@ def run_watchdog_canary(
         watchdog.snapshot()
 
     # -- control run: exactly q/2 stale copies, fresh majority answers --
-    control = build_stale_majority(seed=seed, n_victims=n_victims, engine=engine)
+    control = build_stale_majority(seed=seed, n_victims=n_victims)
     with _watching(window) as cwatch:
         control.seed_history()
         control.go_stale(k=control.ctx.tolerance, cut="stale")
@@ -630,7 +629,6 @@ def stream_fuzz(
     max_batch: int = 32,
     snapshot_every: int = 50,
     on_snapshot: Callable[[HealthSnapshot], None] | None = None,
-    engine: str | None = None,
 ) -> StreamFuzzResult:
     """Replay a seeded workload with the live watchdog attached.
 
@@ -658,11 +656,10 @@ def stream_fuzz(
             ops += idx.size
             if kind == "write":
                 scheme.write(
-                    idx, values=payload_values(t, idx), store=store, time=t,
-                    engine=engine,
+                    idx, values=payload_values(t, idx), store=store, time=t
                 )
             else:
-                scheme.read(idx, store=store, time=t, engine=engine)
+                scheme.read(idx, store=store, time=t)
             watchdog.poll()
             if snapshot_every and t % snapshot_every == 0:
                 snap = watchdog.snapshot()

@@ -14,21 +14,26 @@ round loop -- the code a careful reader would write straight from the
 paper, with per-module dict arbitration (:meth:`repro.mpc.machine.MPC.
 step_scalar`) instead of vectorized sort/argmin.  Both executors
 consume the identical arbitration priorities (and the identical RNG
-stream for the random policy), so a run under ``engine='scalar'`` must
-match a run under ``engine='vector'`` *bit for bit*: same winners, same
+stream for the random policy), so a run under ``use('scalar')`` must
+match a run under the vector engine *bit for bit*: same winners, same
 R_k histories, same module state, same fault reports.  The differential
 suite (``tests/core/test_engine_differential.py``) enforces exactly
 that across every scheme, which is what lets the vector hot path be
 optimized aggressively without trusting it.
 
-Engine selection: every access entry point takes ``engine='scalar' |
-'vector' | None``; ``None`` resolves through the ``REPRO_ENGINE``
-environment variable and defaults to ``'vector'``.  The scalar engine
-is an *oracle*, not a fallback -- it is orders of magnitude slower and
-intended for differential testing and debugging only.
+Engine selection lives here and nowhere else: :func:`current` names
+the executor every :func:`~repro.core.protocol.run_access_protocol`
+call uses (``'vector'`` until changed), and ``with use('scalar'):``
+switches it for a block.  No layer above the protocol takes an engine
+argument.  The scalar engine is an *oracle*, not a fallback -- it is
+orders of magnitude slower and intended for differential testing and
+debugging only.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,37 +41,33 @@ from repro.core.protocol import PhaseTrace
 from repro.mpc.machine import MPC
 from repro.mpc.memory import SharedCopyStore
 
-__all__ = ["ENGINES", "DEFAULT_ENGINE", "ENGINE_ENV", "resolve_engine", "run_phase_scalar"]
+__all__ = ["ENGINES", "current", "use", "run_phase_scalar"]
 
 #: Recognized engine names, in preference order.
 ENGINES: tuple[str, ...] = ("vector", "scalar")
 
-#: Engine used when the caller passes ``engine=None`` and the
-#: environment does not override it.
-DEFAULT_ENGINE = "vector"
-
-#: Environment variable consulted by :func:`resolve_engine` -- lets CI
-#: re-run an entire test suite under the scalar oracle without touching
-#: call sites.
-ENGINE_ENV = "REPRO_ENGINE"
+#: The selected executor; changed only by :func:`use`.
+_current = ENGINES[0]
 
 
-def resolve_engine(engine: str | None) -> str:
-    """Normalize an ``engine`` argument to a concrete engine name.
+def current() -> str:
+    """The executor the protocol runs under right now."""
+    return _current
 
-    ``None`` resolves to ``$REPRO_ENGINE`` when set, else
-    :data:`DEFAULT_ENGINE`; anything outside :data:`ENGINES` raises
-    ``ValueError`` at the boundary instead of dispatching nowhere.
-    """
-    if engine is None:
-        import os
 
-        engine = os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; options: {list(ENGINES)}"
-        )
-    return engine
+@contextmanager
+def use(name: str) -> Iterator[str]:
+    """Run the block under engine ``name``; the previous engine is
+    restored on exit, also when the block raises.  Unknown names raise
+    ``ValueError`` before anything is switched."""
+    global _current
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; options: {list(ENGINES)}")
+    prev, _current = _current, name
+    try:
+        yield name
+    finally:
+        _current = prev
 
 
 def run_phase_scalar(

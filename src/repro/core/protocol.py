@@ -132,9 +132,14 @@ def run_access_protocol(
     grey_modules: np.ndarray | None = None,
     retry_limit: int | None = None,
     var_ids: np.ndarray | None = None,
-    engine: str | None = None,
 ) -> AccessResult:
     """Run the q+1-phase majority protocol for one batch of requests.
+
+    The batch runs under the executor :func:`repro.core.engine.current`
+    names when the call starts: ``'vector'`` (numpy batch execution,
+    the default) or ``'scalar'`` (the pure-Python per-processor
+    oracle).  Both produce bit-identical results by construction; the
+    differential suite enforces it.
 
     Parameters
     ----------
@@ -196,20 +201,14 @@ def run_access_protocol(
         ``mem.op`` events of :mod:`repro.conformance`); defaults to the
         batch positions.  A mis-shaped array raises before any access,
         observability on or off.
-    engine:
-        ``'vector'`` (numpy batch execution, the default), ``'scalar'``
-        (the pure-Python per-processor oracle), or None to resolve via
-        ``$REPRO_ENGINE`` -- see :mod:`repro.core.engine`.  Both
-        engines produce bit-identical results by construction; the
-        differential suite enforces it.
 
     Returns
     -------
     :class:`AccessResult` -- iteration counts, histories, and read values.
     """
-    from repro.core.engine import resolve_engine, run_phase_scalar
+    from repro.core.engine import current, run_phase_scalar
 
-    eng = resolve_engine(engine)
+    eng = current()
     phase_runner = _run_phase if eng == "vector" else run_phase_scalar
     module_ids = np.asarray(module_ids, dtype=np.int64)
     if module_ids.ndim != 2:
@@ -304,9 +303,7 @@ def run_access_protocol(
         engine=eng,
     ) as acc_span:
         for k in range(phase_count):
-            phase_vars = np.arange(V, dtype=np.int64)[
-                np.arange(V) % phase_count == k
-            ]
+            phase_vars = np.arange(k, V, phase_count, dtype=np.int64)
             with _obs.span(
                 "protocol.phase", phase=k, variables=int(phase_vars.size)
             ) as ph_span:

@@ -150,7 +150,6 @@ class PPScheme:
         allow_partial: bool = False,
         grey_modules: np.ndarray | None = None,
         retry_limit: int | None = None,
-        engine: str | None = None,
     ) -> AccessResult:
         """Run the Section-3 protocol for a batch of distinct variables.
 
@@ -158,9 +157,7 @@ class PPScheme:
         physical slots through to the timestamped cells.
         ``failed_modules``/``grey_modules``/``retry_limit`` inject
         module faults and bound the degraded-mode retries (see
-        :func:`~repro.core.protocol.run_access_protocol`).  ``engine``
-        selects the batch executor ('vector' | 'scalar', see
-        :mod:`repro.core.engine`).
+        :func:`~repro.core.protocol.run_access_protocol`).
         """
         indices = np.asarray(indices, dtype=np.int64)
         if not all_distinct(indices):
@@ -187,7 +184,6 @@ class PPScheme:
             grey_modules=grey_modules,
             retry_limit=retry_limit,
             var_ids=indices,
-            engine=engine,
         )
 
     def write(

@@ -69,9 +69,6 @@ class StaleMajorityAttack:
     failed_modules: np.ndarray | None = field(default=None)
     #: stale copies per victim applied by :meth:`go_stale`
     stale_k: int = 0
-    #: protocol engine for every access the attack issues
-    #: (None = the default; see :mod:`repro.core.engine`)
-    engine: str | None = None
 
     def seed_history(self) -> None:
         """Write old values at round 1 and fresh values at round 2.
@@ -81,12 +78,10 @@ class StaleMajorityAttack:
         below deterministic without changing the semantics.
         """
         self.scheme.write(
-            self.idx, values=self.old_values, store=self.store, time=1,
-            engine=self.engine,
+            self.idx, values=self.old_values, store=self.store, time=1
         )
         self.scheme.write(
-            self.idx, values=self.fresh_values, store=self.store, time=2,
-            engine=self.engine,
+            self.idx, values=self.fresh_values, store=self.store, time=2
         )
         self.store.write(
             self.modules,
@@ -139,14 +134,13 @@ class StaleMajorityAttack:
         return self.failed_modules
 
     def _fault_kwargs(self) -> dict:
-        kw: dict = {"engine": self.engine}
-        if self.failed_modules is not None and self.failed_modules.size:
-            kw.update(
-                failed_modules=self.failed_modules,
-                allow_partial=True,
-                retry_limit=self.retry_limit,
-            )
-        return kw
+        if self.failed_modules is None or not self.failed_modules.size:
+            return {}
+        return {
+            "failed_modules": self.failed_modules,
+            "allow_partial": True,
+            "retry_limit": self.retry_limit,
+        }
 
     def read(self, time: int = 3) -> "AccessResult":
         """One read batch of every attacked variable at ``time``."""
@@ -189,7 +183,6 @@ def build_stale_majority(
     seed: int = 0,
     n_victims: int = 3,
     scheme: "MemoryScheme | None" = None,
-    engine: str | None = None,
 ) -> StaleMajorityAttack:
     """Construct the attack on a fresh scheme + store.
 
@@ -218,5 +211,4 @@ def build_stale_majority(
         store=scheme.make_store(),
         retry_limit=64 * (count + ctx.copies),
         seed=seed,
-        engine=engine,
     )

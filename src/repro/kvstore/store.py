@@ -48,11 +48,6 @@ class ParallelKVStore:
         normally; a probe that loses a quorum raises
         :class:`~repro.faults.report.QuorumLostError` instead of
         mistaking an unreachable cell for an empty one.
-    engine:
-        Default batch executor for every protocol access this store
-        issues (``"vector"``, ``"scalar"``, or None for the
-        ``$REPRO_ENGINE``/vector default).  Each batch operation also
-        accepts a per-call ``engine=`` override.
     var_base:
         Offset added to the variable ids this store *emits* (the
         ``var_ids`` of its batch records); placement is untouched.
@@ -73,7 +68,6 @@ class ParallelKVStore:
         scheme: MemoryScheme,
         seed: int = 0,
         failed_modules: np.ndarray | None = None,
-        engine: str | None = None,
         var_base: int = 0,
     ):
         if scheme.M < 8:
@@ -81,7 +75,6 @@ class ParallelKVStore:
         self.scheme = scheme
         self.capacity = scheme.M // 2
         self.seed = seed
-        self.engine = engine
         self.var_base = int(var_base)
         self.store = scheme.make_store()
         self._time = 0
@@ -129,7 +122,7 @@ class ParallelKVStore:
         return self._fingerprint(keys)
 
     def locate(
-        self, keys: Sequence[int | str], engine: str | None = None
+        self, keys: Sequence[int | str]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Probe for each key's table slot: ``(found_mask, slot)``.
 
@@ -142,7 +135,7 @@ class ParallelKVStore:
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps, engine=engine)
+        found, slot, _ = self._probe(fps)
         return found, slot
 
     # -- protocol plumbing ------------------------------------------------------
@@ -173,10 +166,6 @@ class ParallelKVStore:
             return {}
         return {"failed_modules": self.failed_modules, "allow_partial": True}
 
-    def _resolve_engine(self, engine: str | None) -> str | None:
-        """Per-call override > store default > scheme/env default."""
-        return self.engine if engine is None else engine
-
     def _check_quorum(self, op: str, var_ids: np.ndarray, res) -> None:
         """Raise :class:`QuorumLostError` if any table variable of the
         batch lost its quorum -- a partial probe answer would be
@@ -197,14 +186,11 @@ class ParallelKVStore:
                 modules=modules,
             )
 
-    def _read_vars(
-        self, var_ids: np.ndarray, engine: str | None = None
-    ) -> np.ndarray:
+    def _read_vars(self, var_ids: np.ndarray) -> np.ndarray:
         """One batched majority read of (possibly duplicated) variables."""
         uniq, inverse = np.unique(var_ids, return_inverse=True)
         res = self.scheme.read(
-            uniq, store=self.store, time=self._tick(),
-            engine=self._resolve_engine(engine), var_base=self.var_base,
+            uniq, store=self.store, time=self._tick(), var_base=self.var_base,
             **self._fault_kwargs(),
         )
         self._check_quorum("read", uniq, res)
@@ -212,15 +198,11 @@ class ParallelKVStore:
         self.protocol_rounds += 1
         return res.values[inverse]
 
-    def _write_vars(
-        self, var_ids: np.ndarray, values: np.ndarray,
-        engine: str | None = None,
-    ) -> None:
+    def _write_vars(self, var_ids: np.ndarray, values: np.ndarray) -> None:
         """One batched majority write (var_ids must be distinct)."""
         res = self.scheme.write(
             var_ids, values=values, store=self.store, time=self._tick(),
-            engine=self._resolve_engine(engine), var_base=self.var_base,
-            **self._fault_kwargs(),
+            var_base=self.var_base, **self._fault_kwargs(),
         )
         self._check_quorum("write", var_ids, res)
         self.mpc_iterations += res.total_iterations
@@ -228,7 +210,7 @@ class ParallelKVStore:
 
     # -- probing core ------------------------------------------------------------
 
-    def _probe(self, fps: np.ndarray, engine: str | None = None):
+    def _probe(self, fps: np.ndarray):
         """Find each key's slot: returns (found_mask, slot, claim_slot).
 
         ``slot`` is the key's slot when found; ``claim_slot`` is where an
@@ -250,7 +232,7 @@ class ParallelKVStore:
                 idx = np.nonzero(pending)[0]
                 rounds += 1
                 cur = (home[idx] + offset[idx]) % self.capacity
-                got = self._read_vars(2 * cur, engine=engine)
+                got = self._read_vars(2 * cur)
                 is_empty = got == _EMPTY
                 is_tomb = got == TOMBSTONE
                 is_mine = got == fps[idx]
@@ -285,13 +267,11 @@ class ParallelKVStore:
     # -- public API ------------------------------------------------------------------
 
     def batch_put(
-        self, keys: Sequence[int | str], values: np.ndarray,
-        engine: str | None = None,
+        self, keys: Sequence[int | str], values: np.ndarray
     ) -> dict[str, int]:
         """Insert/update a batch of distinct keys in parallel.
 
         Returns a stats dict (inserted, updated, protocol rounds used).
-        ``engine`` overrides the store default executor for this batch.
         """
         values = np.asarray(values, dtype=np.int64)
         if len(keys) != values.shape[0]:
@@ -301,7 +281,7 @@ class ParallelKVStore:
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
-        found, slot, claim = self._probe(fps, engine=engine)
+        found, slot, claim = self._probe(fps)
 
         # resolve claim collisions: several new keys may want one slot --
         # lowest batch index wins, the rest re-probe next round
@@ -321,14 +301,12 @@ class ParallelKVStore:
             # tenant's value, so a claim that committed before a lost
             # value write would serve that value as the new key's.
             # Losers re-probe against the updated table.
-            self._write_vars(
-                2 * slot[winners] + 1, values[winners], engine=engine
-            )
-            self._write_vars(2 * slot[winners], fps[winners], engine=engine)
+            self._write_vars(2 * slot[winners] + 1, values[winners])
+            self._write_vars(2 * slot[winners], fps[winners])
             self.size += winners.size
             to_insert[winners] = False
             if losers.size:
-                f2, s2, c2 = self._probe(fps[losers], engine=engine)
+                f2, s2, c2 = self._probe(fps[losers])
                 # a loser may now find its... it cannot exist; re-claim
                 claim[losers] = c2
                 slot[losers] = np.where(f2, s2, slot[losers])
@@ -337,9 +315,7 @@ class ParallelKVStore:
                     to_insert[newly_found] = False
         updates = found
         if updates.any():
-            self._write_vars(
-                2 * slot[updates] + 1, values[updates], engine=engine
-            )
+            self._write_vars(2 * slot[updates] + 1, values[updates])
         self._emit("put", keys, values)
         return {
             "inserted": int((~found).sum()),
@@ -347,46 +323,35 @@ class ParallelKVStore:
             "protocol_rounds": self.protocol_rounds,
         }
 
-    def batch_get(
-        self, keys: Sequence[int | str], engine: str | None = None
-    ) -> np.ndarray:
-        """Parallel lookup; returns values, -1 for missing keys.
-
-        ``engine`` overrides the store default executor for this batch.
-        """
+    def batch_get(self, keys: Sequence[int | str]) -> np.ndarray:
+        """Parallel lookup; returns values, -1 for missing keys."""
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps, engine=engine)
+        found, slot, _ = self._probe(fps)
         out = np.full(len(keys), -1, dtype=np.int64)
         if found.any():
-            vals = self._read_vars(2 * slot[found] + 1, engine=engine)
+            vals = self._read_vars(2 * slot[found] + 1)
             out[found] = vals
         self._emit("get", keys, out)
         return out
 
-    def batch_delete(
-        self, keys: Sequence[int | str], engine: str | None = None
-    ) -> int:
-        """Parallel delete; returns the number of keys removed.
-
-        ``engine`` overrides the store default executor for this batch.
-        """
+    def batch_delete(self, keys: Sequence[int | str]) -> int:
+        """Parallel delete; returns the number of keys removed."""
         fps = self._fingerprint(keys)
         if np.unique(fps).size != fps.size:
             raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps, engine=engine)
+        found, slot, _ = self._probe(fps)
         if found.any():
             self._write_vars(
                 2 * slot[found],
                 np.full(int(found.sum()), TOMBSTONE, dtype=np.int64),
-                engine=engine,
             )
             self.size -= int(found.sum())
         self._emit("delete", keys, found.astype(np.int64))
         return int(found.sum())
 
-    def scan(self, engine: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-table scan: returns (fingerprints, values) of every
         occupied slot, in slot order.
 
@@ -394,11 +359,11 @@ class ParallelKVStore:
         occupied value cells -- two protocol rounds regardless of size.
         """
         slots = np.arange(self.capacity, dtype=np.int64)
-        fps = self._read_vars(2 * slots, engine=engine)
+        fps = self._read_vars(2 * slots)
         occupied = (fps != _EMPTY) & (fps != TOMBSTONE)
         if not occupied.any():
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        vals = self._read_vars(2 * slots[occupied] + 1, engine=engine)
+        vals = self._read_vars(2 * slots[occupied] + 1)
         return fps[occupied], vals
 
     def cost_summary(self) -> dict:

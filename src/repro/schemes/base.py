@@ -124,7 +124,6 @@ class MemoryScheme(ABC):
         allow_partial: bool = False,
         grey_modules: np.ndarray | None = None,
         retry_limit: int | None = None,
-        engine: str | None = None,
         var_base: int = 0,
     ) -> AccessResult:
         """Run the protocol engine for a batch of distinct variables.
@@ -134,8 +133,6 @@ class MemoryScheme(ABC):
         kwargs (``failed_modules``, ``grey_modules``, ``retry_limit``,
         ``allow_partial``) inject module faults identically for every
         scheme -- see :func:`~repro.core.protocol.run_access_protocol`.
-        ``engine`` selects scalar-oracle or vectorized execution
-        (:mod:`repro.core.engine`), identically for every scheme.
         ``var_base`` offsets the *emitted* variable ids (``mem.op``
         events) without touching placement -- systems that run several
         scheme instances side by side (the sharded service) give each a
@@ -167,7 +164,6 @@ class MemoryScheme(ABC):
             grey_modules=grey_modules,
             retry_limit=retry_limit,
             var_ids=indices + var_base if var_base else indices,
-            engine=engine,
         )
 
     def read(

@@ -74,7 +74,8 @@ class ServiceConfig:
 
     #: worker shard count (independent schemes, arbitration, faults)
     n_shards: int = 2
-    #: partition-pair parameters of each shard's ``PPAdapter(q, n)``
+    #: Pietracaprina-Preparata expander parameters of each shard's
+    #: ``PPAdapter(q, n)``
     q: int = 2
     n: int = 5
     #: max requests admitted into one PRAM round
@@ -83,8 +84,6 @@ class ServiceConfig:
     max_pending: int = 4096
     #: in-flight requests allowed per session
     pipeline_depth: int = 1
-    #: batch executor (None = ``$REPRO_ENGINE``/vector default)
-    engine: str | None = None
     #: salts the routing and table hashes
     seed: int = 0
     #: attach the streaming watchdog to a service-owned event bus
@@ -207,7 +206,6 @@ class ServiceCore:
             q=self.config.q,
             n=self.config.n,
             seed=self.config.seed,
-            engine=self.config.engine,
         )
         self.clock = clock
         self.rounds = 0
@@ -411,7 +409,6 @@ class ServiceCore:
         status = np.full(a_sess.size, STATUS_OK, dtype=np.int64)
         result = np.full(a_sess.size, -1, dtype=np.int64)
         shard = self.store.route_ints(a_key)
-        engine = self.config.engine
         for s in range(self.config.n_shards):
             in_s = shard == s
             if not in_s.any():
@@ -421,7 +418,7 @@ class ServiceCore:
             if g.any():
                 uk, inv = np.unique(a_key[g], return_inverse=True)
                 try:
-                    result[g] = self.store.shard_get(s, uk, engine=engine)[inv]
+                    result[g] = self.store.shard_get(s, uk)[inv]
                 except QuorumLostError:
                     status[g] = STATUS_LOST
             # puts: combine same-key writes to one winner (largest
@@ -439,9 +436,7 @@ class ServiceCore:
                 # attempted value to track what could resurface
                 result[p] = a_val[p]
                 try:
-                    self.store.shard_put(
-                        s, a_key[win], a_val[win], engine=engine
-                    )
+                    self.store.shard_put(s, a_key[win], a_val[win])
                 except QuorumLostError:
                     status[p] = STATUS_LOST
             # deletes come last (a put+delete round ends deleted)
@@ -449,7 +444,7 @@ class ServiceCore:
             if d.any():
                 uk = np.unique(a_key[d])
                 try:
-                    self.store.shard_delete(s, uk, engine=engine)
+                    self.store.shard_delete(s, uk)
                     result[d] = 1
                 except QuorumLostError:
                     status[d] = STATUS_LOST

@@ -40,14 +40,11 @@ class ShardedKV:
     n_shards:
         Worker shard count (>= 1).
     q, n:
-        Paritition-pair expander parameters of each shard's
+        Pietracaprina--Preparata expander parameters of each shard's
         ``PPAdapter(q, n)`` scheme (capacity ``M/2`` slots per shard).
     seed:
         Salts both the routing hash and each shard's table hash
         (shard ``i`` uses ``seed + i``).
-    engine:
-        Default batch executor threaded into every store operation
-        (None = the ``$REPRO_ENGINE``/vector default).
     """
 
     def __init__(
@@ -56,20 +53,17 @@ class ShardedKV:
         q: int = 2,
         n: int = 5,
         seed: int = 0,
-        engine: str | None = None,
     ):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.n_shards = n_shards
         self.seed = seed
-        self.engine = engine
         schemes = [PPAdapter(q, n) for _ in range(n_shards)]
         # disjoint emitted-variable namespaces: the merged mem.op stream
         # must never alias two shards' variables in the checker
         self.shards = [
             ParallelKVStore(
-                schemes[i], seed=seed + i, engine=engine,
-                var_base=i * schemes[i].M,
+                schemes[i], seed=seed + i, var_base=i * schemes[i].M
             )
             for i in range(n_shards)
         ]
@@ -113,12 +107,7 @@ class ShardedKV:
         """Fold a directly-driven shard's clock back into the order."""
         self._clock = max(self._clock, s.clock)
 
-    def shard_get(
-        self,
-        shard: int,
-        keys: Sequence[int | str],
-        engine: str | None = None,
-    ) -> np.ndarray:
+    def shard_get(self, shard: int, keys: Sequence[int | str]) -> np.ndarray:
         """Batched get on one shard under the shared round clock.
 
         Raises :class:`~repro.faults.report.QuorumLostError` if the
@@ -126,7 +115,7 @@ class ShardedKV:
         read quorum -- callers own the retry/abort policy."""
         s = self.enter_shard(shard)
         try:
-            return s.batch_get(keys, engine=engine)
+            return s.batch_get(keys)
         finally:
             self.leave_shard(s)
 
@@ -135,7 +124,6 @@ class ShardedKV:
         shard: int,
         keys: Sequence[int | str],
         values: np.ndarray,
-        engine: str | None = None,
     ) -> dict[str, int]:
         """Batched put on one shard under the shared round clock.
 
@@ -143,23 +131,18 @@ class ShardedKV:
         shard cannot assemble a write quorum for a touched variable."""
         s = self.enter_shard(shard)
         try:
-            return s.batch_put(keys, values, engine=engine)
+            return s.batch_put(keys, values)
         finally:
             self.leave_shard(s)
 
-    def shard_delete(
-        self,
-        shard: int,
-        keys: Sequence[int | str],
-        engine: str | None = None,
-    ) -> int:
+    def shard_delete(self, shard: int, keys: Sequence[int | str]) -> int:
         """Batched delete on one shard under the shared round clock.
 
         Raises :class:`~repro.faults.report.QuorumLostError` if the
         shard cannot assemble a quorum for a touched variable."""
         s = self.enter_shard(shard)
         try:
-            return s.batch_delete(keys, engine=engine)
+            return s.batch_delete(keys)
         finally:
             self.leave_shard(s)
 

@@ -15,12 +15,18 @@ from repro.conformance.differential import (
     stale_majority_canary,
 )
 from repro.conformance.streaming import run_watchdog_canary, stream_fuzz
-from repro.core.engine import ENGINES
+from repro.core.engine import ENGINES, use
+
+
+def _on(engine, call, **kw):
+    """``call(**kw)`` under protocol executor ``engine``."""
+    with use(engine):
+        return call(**kw)
 
 
 class TestFuzzParity:
     def test_scalar_engine_conforms(self):
-        result = run_fuzz(seed=0, total_ops=250, engine="scalar")
+        result = _on("scalar", run_fuzz, seed=0, total_ops=250)
         assert result.ok
         assert result.engine == "scalar"
         assert len(result.rows) == 6
@@ -29,7 +35,7 @@ class TestFuzzParity:
 
     def test_engines_agree_row_for_row(self):
         vec, sca = (
-            run_fuzz(seed=4, total_ops=200, engine=e) for e in ENGINES
+            _on(e, run_fuzz, seed=4, total_ops=200) for e in ENGINES
         )
         assert vec.engine == "vector" and sca.engine == "scalar"
         for rv, rs in zip(vec.rows, sca.rows):
@@ -40,7 +46,7 @@ class TestFuzzParity:
             assert rv.report.writes_seen == rs.report.writes_seen
 
     def test_engine_round_trips_through_report(self):
-        result = run_fuzz(seed=1, total_ops=80, engine="scalar")
+        result = _on("scalar", run_fuzz, seed=1, total_ops=80)
         back = FuzzResult.from_dict(result.to_dict())
         assert back.engine == "scalar"
         # legacy records (no engine key) default to the vector engine
@@ -52,7 +58,7 @@ class TestFuzzParity:
 class TestAttackParity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_stale_majority_pinned_exactly(self, engine):
-        canary = stale_majority_canary(seed=0, engine=engine)
+        canary = _on(engine, stale_majority_canary, seed=0)
         assert canary.silent_wrong_reads > 0
         assert canary.detected
         flagged = {
@@ -63,7 +69,7 @@ class TestAttackParity:
 
     def test_attack_identity_matches_across_engines(self):
         vec, sca = (
-            stale_majority_canary(seed=2, engine=e) for e in ENGINES
+            _on(e, stale_majority_canary, seed=2) for e in ENGINES
         )
         assert vec.expected == sca.expected
         assert vec.silent_wrong_reads == sca.silent_wrong_reads
@@ -77,15 +83,15 @@ class TestAttackParity:
 class TestWatchdogParity:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_online_canary_green(self, engine):
-        result = run_watchdog_canary(seed=0, engine=engine)
+        result = _on(engine, run_watchdog_canary, seed=0)
         assert result.detected_online
         assert result.control_clean
         assert result.ok
 
     def test_stream_fuzz_scalar_engine(self):
-        result = stream_fuzz(
-            scheme="pp2", total_ops=300, seed=0, window=8,
-            engine="scalar",
+        result = _on(
+            "scalar", stream_fuzz, scheme="pp2", total_ops=300, seed=0,
+            window=8,
         )
         assert result.report.ok
         assert result.events > 0 and result.rounds > 0

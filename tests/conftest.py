@@ -10,6 +10,10 @@ failures reproduce exactly, ``dev`` keeps random exploration for local
 runs.  Both drop the wall-clock deadline -- first-call JIT/table-build
 costs make per-example timing meaningless in this codebase.  Select
 explicitly with ``HYPOTHESIS_PROFILE=dev``; CI is auto-detected.
+
+``REPRO_ENGINE`` is applied here and nowhere else: the whole session
+runs under that protocol executor (``vector`` when unset), which is how
+CI's scalar-oracle leg re-runs tests without touching them.
 """
 
 import os
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core.engine import use
 from repro.core.graph import MemoryGraph
 from repro.core.scheme import PPScheme
 
@@ -28,6 +33,13 @@ settings.load_profile(
         "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "dev"
     )
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def protocol_engine():
+    """Run the session under ``$REPRO_ENGINE`` (default ``vector``)."""
+    with use(os.environ.get("REPRO_ENGINE") or "vector") as name:
+        yield name
 
 
 @pytest.fixture(scope="session")

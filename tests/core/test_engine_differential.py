@@ -9,15 +9,12 @@ fault reports, and final module state -- across all six conformance
 schemes, all three arbitration policies, and the fault/degraded paths.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV,
-    ENGINES,
-    resolve_engine,
-)
+from repro.core.engine import ENGINES, current, use
 from repro.core.protocol import run_access_protocol
 from repro.core.scheme import PPScheme
 from repro.conformance.streaming import SCHEME_KEYS, scheme_by_key
@@ -75,20 +72,25 @@ def _assert_results_equal(vec, sca):
         )
 
 
+def _on(engine, call, *args, **kw):
+    """``call(*args, **kw)`` under protocol executor ``engine``."""
+    with use(engine):
+        return call(*args, **kw)
+
+
 def _run_workload(scheme, plan, engine, **kw):
-    """Replay a read/write plan on a fresh store; return per-op results
-    and the final store."""
+    """Replay a read/write plan on a fresh store under ``engine``;
+    return per-op results and the final store."""
     store = scheme.make_store() if hasattr(scheme, "make_store") else None
     results = []
-    for t, (kind, idx) in enumerate(plan, start=1):
-        if kind == "write":
-            vals = (np.asarray(idx, dtype=np.int64) * 37 + t) % (1 << 20)
-            res = scheme.write(
-                idx, values=vals, store=store, time=t, engine=engine, **kw
-            )
-        else:
-            res = scheme.read(idx, store=store, time=t, engine=engine, **kw)
-        results.append(res)
+    with use(engine):
+        for t, (kind, idx) in enumerate(plan, start=1):
+            if kind == "write":
+                vals = (np.asarray(idx, dtype=np.int64) * 37 + t) % (1 << 20)
+                res = scheme.write(idx, values=vals, store=store, time=t, **kw)
+            else:
+                res = scheme.read(idx, store=store, time=t, **kw)
+            results.append(res)
     return results, store
 
 
@@ -135,8 +137,8 @@ def test_workload_parity_under_fault_plan(key):
 def test_arbitration_parity(scheme_2_3, arbitration):
     idx = scheme_2_3.random_request_set(40, seed=5)
     common = dict(arbitration=arbitration, seed=17, collect_history=True)
-    res_v = scheme_2_3.access(idx, op="count", engine="vector", **common)
-    res_s = scheme_2_3.access(idx, op="count", engine="scalar", **common)
+    res_v = _on("vector", scheme_2_3.access, idx, op="count", **common)
+    res_s = _on("scalar", scheme_2_3.access, idx, op="count", **common)
     _assert_results_equal(res_v, res_s)
     assert res_v.max_phase_iterations == res_s.max_phase_iterations
 
@@ -148,12 +150,12 @@ def test_arbitration_parity_read_write(scheme_2_3, arbitration):
     vals = idx * 11 + 1
     kw = dict(arbitration=arbitration, seed=4)
     _assert_results_equal(
-        scheme_2_3.write(idx, vals, store_v, time=1, engine="vector", **kw),
-        scheme_2_3.write(idx, vals, store_s, time=1, engine="scalar", **kw),
+        _on("vector", scheme_2_3.write, idx, vals, store_v, time=1, **kw),
+        _on("scalar", scheme_2_3.write, idx, vals, store_s, time=1, **kw),
     )
     _assert_results_equal(
-        scheme_2_3.read(idx, store_v, time=2, engine="vector", **kw),
-        scheme_2_3.read(idx, store_s, time=2, engine="scalar", **kw),
+        _on("vector", scheme_2_3.read, idx, store_v, time=2, **kw),
+        _on("scalar", scheme_2_3.read, idx, store_s, time=2, **kw),
     )
     _assert_stores_equal(store_v, store_s)
 
@@ -169,8 +171,8 @@ def test_failed_modules_allow_partial_parity(scheme_2_3):
         allow_partial=True,
         collect_history=True,
     )
-    res_v = scheme_2_3.access(idx, op="count", engine="vector", **kw)
-    res_s = scheme_2_3.access(idx, op="count", engine="scalar", **kw)
+    res_v = _on("vector", scheme_2_3.access, idx, op="count", **kw)
+    res_s = _on("scalar", scheme_2_3.access, idx, op="count", **kw)
     _assert_results_equal(res_v, res_s)
     assert res_v.fault_report is not None
 
@@ -186,8 +188,8 @@ def test_retry_limit_lost_variables_parity(scheme_2_3):
         grey_modules=grey, retry_limit=3, allow_partial=True,
         collect_history=True,
     )
-    res_v = scheme_2_3.access(idx, op="count", engine="vector", **kw)
-    res_s = scheme_2_3.access(idx, op="count", engine="scalar", **kw)
+    res_v = _on("vector", scheme_2_3.access, idx, op="count", **kw)
+    res_s = _on("scalar", scheme_2_3.access, idx, op="count", **kw)
     _assert_results_equal(res_v, res_s)
 
 
@@ -199,8 +201,8 @@ def test_retry_exhaustion_error_message_parity(scheme_2_3):
     msgs = []
     for engine in ENGINES:
         with pytest.raises(ValueError) as exc:
-            scheme_2_3.access(
-                idx, op="count", engine=engine,
+            _on(
+                engine, scheme_2_3.access, idx, op="count",
                 grey_modules=grey, retry_limit=2,
             )
         msgs.append(str(exc.value))
@@ -215,8 +217,8 @@ def test_doomed_variables_unsatisfiable_parity():
     idx = scheme.random_request_set(20, seed=6)
     dead = np.arange(scheme.N // 2, dtype=np.int64)  # half the machine
     kw = dict(failed_modules=dead, allow_partial=True)
-    res_v = scheme.access(idx, op="count", engine="vector", **kw)
-    res_s = scheme.access(idx, op="count", engine="scalar", **kw)
+    res_v = _on("vector", scheme.access, idx, op="count", **kw)
+    res_s = _on("scalar", scheme.access, idx, op="count", **kw)
     _assert_results_equal(res_v, res_s)
     assert res_v.unsatisfiable is not None and res_v.unsatisfiable.any()
 
@@ -230,9 +232,9 @@ def test_raw_protocol_parity_shared_modules():
     rng = np.random.default_rng(42)
     module_ids = rng.integers(0, 8, size=(25, 5)).astype(np.int64)
     out = [
-        run_access_protocol(
-            module_ids, 8, 3, op="count", collect_history=True,
-            arbitration="random", seed=7, engine=engine,
+        _on(
+            engine, run_access_protocol, module_ids, 8, 3, op="count",
+            collect_history=True, arbitration="random", seed=7,
         )
         for engine in ENGINES
     ]
@@ -240,28 +242,47 @@ def test_raw_protocol_parity_shared_modules():
 
 
 # ---------------------------------------------------------------------------
-# engine selection plumbing
+# engine selection: the one switch in repro.core.engine
 
 
-def test_resolve_engine_rejects_unknown():
+def test_use_rejects_unknown():
+    before = current()
     with pytest.raises(ValueError, match="unknown engine"):
-        resolve_engine("simd")
+        with use("simd"):
+            pass  # pragma: no cover -- never entered
+    assert current() == before
 
 
-def test_resolve_engine_env_override(monkeypatch, scheme_2_3):
-    monkeypatch.setenv(ENGINE_ENV, "scalar")
-    assert resolve_engine(None) == "scalar"
+def test_use_nests_and_restores():
+    before = current()
+    with use("scalar") as outer:
+        assert outer == current() == "scalar"
+        with use("vector"):
+            assert current() == "vector"
+        assert current() == "scalar"
+    assert current() == before
+
+
+def test_use_restores_after_exception(scheme_2_3):
+    before = current()
+    with pytest.raises(RuntimeError):
+        with use("scalar"):
+            assert scheme_2_3.access(np.arange(4)).engine == "scalar"
+            raise RuntimeError("body failed")
+    assert current() == before
+
+
+def test_access_runs_under_repro_engine(scheme_2_3):
+    """The suite runs under ``$REPRO_ENGINE`` (``vector`` when unset):
+    if the switch stops reaching the protocol, CI's scalar leg fails
+    here instead of silently testing the vector engine twice."""
+    want = os.environ.get("REPRO_ENGINE") or "vector"
     res = scheme_2_3.access(scheme_2_3.random_request_set(5, seed=0))
-    assert res.engine == "scalar"
-    monkeypatch.delenv(ENGINE_ENV)
-    assert resolve_engine(None) == DEFAULT_ENGINE
-    # explicit argument beats the environment
-    monkeypatch.setenv(ENGINE_ENV, "scalar")
-    assert resolve_engine("vector") == "vector"
+    assert res.engine == want
 
 
-def test_result_records_engine(scheme_2_3, monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+def test_result_records_engine(scheme_2_3):
     idx = scheme_2_3.random_request_set(4, seed=0)
-    assert scheme_2_3.access(idx).engine == DEFAULT_ENGINE
-    assert scheme_2_3.access(idx, engine="scalar").engine == "scalar"
+    for engine in ENGINES:
+        with use(engine):
+            assert scheme_2_3.access(idx).engine == engine

@@ -89,6 +89,7 @@ class TestEmission:
         # the ledger keeps one GF tally and reads it as the addressing
         # work: that holds only while the protocol itself never touches
         # the field
+        from repro.core.engine import use
         from repro.core.protocol import run_access_protocol
         from repro.gf.opcount import GFOpSink
 
@@ -105,14 +106,15 @@ class TestEmission:
         sink = GFOpSink()
         prev = set_op_sink(sink)
         try:
-            for op, t in (("write", 1), ("read", 2), ("count", 3)):
-                res = run_access_protocol(
-                    modules, scheme.N, scheme.majority, op=op,
-                    slots=None if op == "count" else slots,
-                    store=None if op == "count" else store,
-                    values=vals if op == "write" else None, time=t,
-                    arbitration="random", seed=t, engine=engine,
-                )
+            with use(engine):
+                for op, t in (("write", 1), ("read", 2), ("count", 3)):
+                    res = run_access_protocol(
+                        modules, scheme.N, scheme.majority, op=op,
+                        slots=None if op == "count" else slots,
+                        store=None if op == "count" else store,
+                        values=vals if op == "write" else None, time=t,
+                        arbitration="random", seed=t,
+                    )
         finally:
             set_op_sink(prev)
         assert res.total_iterations >= 1

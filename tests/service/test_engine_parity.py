@@ -1,14 +1,15 @@
 """Vector/scalar engine parity through every service layer.
 
 The vectorized batch engine and the scalar protocol walker must be
-interchangeable: per-call ``engine=`` overrides on the kv store, the
-sharded repository, and whole rounds of the service core all have to
-produce bit-identical responses.
+interchangeable: the kv store and whole rounds of the service core,
+driven under ``use('vector')`` and ``use('scalar')``, have to produce
+bit-identical responses.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.engine import use
 from repro.kvstore.store import ParallelKVStore
 from repro.schemes.pp_adapter import PPAdapter
 from repro.service.batcher import (
@@ -18,77 +19,64 @@ from repro.service.batcher import (
     ServiceConfig,
     ServiceCore,
 )
-from repro.service.shards import ShardedKV
 
 
-def _store(engine=None) -> ParallelKVStore:
-    return ParallelKVStore(PPAdapter(2, 3), seed=0, engine=engine)
+def _store() -> ParallelKVStore:
+    return ParallelKVStore(PPAdapter(2, 3), seed=0)
 
 
 class TestStoreEngineOverride:
     def test_per_call_override_matches_default(self):
+        """A store filled under ``use()`` answers like one filled under
+        the session's engine, whichever engine reads it."""
         keys = list(range(20))
         vals = [10 * k + 1 for k in keys]
         a, b = _store(), _store()
-        a.batch_put(keys, vals)  # default (scalar walker)
-        b.batch_put(keys, vals, engine="vector")
+        a.batch_put(keys, vals)
+        with use("vector"):
+            b.batch_put(keys, vals)
         assert np.array_equal(a.batch_get(keys), b.batch_get(keys))
         # cross-engine reads of the same store agree too
-        assert np.array_equal(
-            a.batch_get(keys, engine="vector"), a.batch_get(keys)
-        )
+        with use("scalar"):
+            got = a.batch_get(keys)
+        with use("vector"):
+            assert np.array_equal(got, a.batch_get(keys))
 
     def test_override_applies_to_all_ops(self):
-        a, b = _store("scalar"), _store("scalar")
+        a, b = _store(), _store()
         keys = list(range(12))
-        for s, eng in ((a, None), (b, "vector")):
-            s.batch_put(keys, [k + 1 for k in keys], engine=eng)
-            s.batch_delete(keys[::3], engine=eng)
-        ga = a.batch_get(keys)
-        gb = b.batch_get(keys, engine="vector")
+        got = []
+        for s, eng in ((a, "scalar"), (b, "vector")):
+            with use(eng):
+                s.batch_put(keys, [k + 1 for k in keys])
+                s.batch_delete(keys[::3])
+                got.append((s.batch_get(keys), s.scan()))
+        (ga, (fa, va)), (gb, (fb, vb)) = got
         assert np.array_equal(ga, gb)
-        fa, va = a.scan()
-        fb, vb = b.scan(engine="vector")
         assert sorted(va.tolist()) == sorted(vb.tolist())
         assert sorted(fa.tolist()) == sorted(fb.tolist())
 
     def test_locate_parity(self):
         s = _store()
         s.batch_put([4, 8], [1, 2])
-        assert np.array_equal(
-            s.locate([4, 8, 99])[0], s.locate([4, 8, 99], engine="vector")[0]
-        )
+        found = []
+        for eng in ("scalar", "vector"):
+            with use(eng):
+                found.append(s.locate([4, 8, 99])[0])
+        assert np.array_equal(*found)
 
     def test_unknown_engine_rejected(self):
         s = _store()
-        with pytest.raises((KeyError, ValueError)):
-            s.batch_put([1], [1], engine="nonsense")
+        with pytest.raises(ValueError, match="unknown engine"):
+            with use("nonsense"):
+                s.batch_put([1], [1])  # pragma: no cover -- never entered
+        assert s.clock == 0 and s.size == 0
 
 
-class TestShardEngineOverride:
-    def test_shard_ops_forward_engine(self):
-        a = ShardedKV(n_shards=2, q=2, n=3, seed=0)
-        b = ShardedKV(n_shards=2, q=2, n=3, seed=0)
-        keys = np.arange(30, dtype=np.int64)
-        for sh in range(2):
-            mine = keys[a.route_ints(keys) == sh].tolist()
-            if not mine:
-                continue
-            vals = [k + 5 for k in mine]
-            a.shard_put(sh, mine, vals)
-            b.shard_put(sh, mine, vals, engine="vector")
-            assert np.array_equal(
-                a.shard_get(sh, mine),
-                b.shard_get(sh, mine, engine="vector"),
-            )
-            assert a.shard_delete(sh, mine[:2]) == b.shard_delete(
-                sh, mine[:2], engine="vector"
-            )
-
-
-def _round_trace(engine):
-    """Drive a fixed workload through a core; return each round's tuple."""
-    cfg = ServiceConfig(q=2, n=3, watchdog=False, engine=engine,
+def _round_trace():
+    """Drive a fixed workload through a core under the current engine;
+    return each round's tuple."""
+    cfg = ServiceConfig(q=2, n=3, watchdog=False,
                         round_capacity=8, pipeline_depth=2)
     trace = []
     with ServiceCore(cfg) as core:
@@ -120,7 +108,12 @@ def _round_trace(engine):
 
 class TestServiceEngineParity:
     def test_scalar_and_vector_cores_serve_identically(self):
-        assert _round_trace("scalar") == _round_trace("vector")
+        with use("scalar"):
+            scalar = _round_trace()
+        with use("vector"):
+            assert _round_trace() == scalar
 
     def test_default_engine_matches_scalar(self):
-        assert _round_trace(None) == _round_trace("scalar")
+        with use("scalar"):
+            scalar = _round_trace()
+        assert _round_trace() == scalar
