@@ -2,10 +2,18 @@
 
 Layout: a table of ``capacity`` slots; slot ``s`` owns two shared
 variables of the underlying scheme -- ``2s`` (key fingerprint) and
-``2s + 1`` (value).  Batches of operations probe in parallel: each
-round issues ONE batched majority access for every key still probing,
-so a batch of B operations with maximum probe chain L costs L protocol
-rounds, not B.
+``2s + 1`` (value).
+
+One round of gets, puts and deletes shares ONE probe of its distinct
+keys (a :class:`RoundPlan`).  Each probe step is one batched majority
+read of a window of consecutive fingerprint cells per pending key --
+1, 2, 4, ... slots, doubling per step -- and, for get keys, of the value
+cells of the same slots, so a get needs no read after the probe.  A
+chain of length L costs about ``log2(L) + 1`` probe steps.  A put then
+costs one value-write batch and one fingerprint-claim batch (plus a
+re-probe and one more pair per wave of claim collisions), a delete one
+tombstone batch: a conflict-free round whose chains all have length 1
+costs 4 protocol batches, whatever its size.
 
 Conventions: fingerprints are 31-bit nonzero hashes; an unwritten cell
 reads -1 (empty); ``TOMBSTONE`` marks deleted slots, which lookups skip
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,12 +32,50 @@ import repro.obs as _obs
 from repro.faults.report import QuorumLostError
 from repro.schemes.base import MemoryScheme
 
-__all__ = ["ParallelKVStore", "TOMBSTONE"]
+__all__ = ["ParallelKVStore", "RoundPlan", "TOMBSTONE"]
 
 #: fingerprint sentinel for deleted slots
 TOMBSTONE = (1 << 31) - 1
 
 _EMPTY = -1
+#: how a partial read returns a cell that lost its quorum
+_LOST = -2
+
+#: a round's op order, and the stage of a plan whose batch raised
+_GET, _PUT, _DELETE, _SPENT = 0, 1, 2, 3
+_OPS = ("get", "put", "delete")
+_UNPROBED = np.empty(0, dtype=np.int64)
+_UNPROBED.flags.writeable = False
+
+
+@dataclass(eq=False)
+class RoundPlan:
+    """One round's get, put and delete keys on one store, probed once.
+
+    Build it with :meth:`ParallelKVStore.plan` and hand it to
+    ``batch_get``, ``batch_put`` and ``batch_delete`` in that order,
+    each at most once and with the keys it was built from.  The first
+    of those calls runs the probe over the distinct keys (reading the
+    get keys' values with it); the put records where its keys landed,
+    so a delete of a key put in the same round tombstones that slot.
+    A call that raises spends the plan.
+    """
+
+    store: "ParallelKVStore"
+    #: the get, put and delete keys
+    keys: tuple[Sequence[int | str], ...]
+    #: distinct fingerprints of all keys: the probe's keys
+    fps: np.ndarray
+    #: per op, the position of each of its keys in ``fps``
+    pos: tuple[np.ndarray, ...]
+    #: next op allowed (``_SPENT`` after a batch raised)
+    stage: int = _GET
+    #: probe results per fingerprint, filled by the first call
+    probed: bool = False
+    found: np.ndarray = field(default_factory=lambda: _UNPROBED)
+    slot: np.ndarray = field(default_factory=lambda: _UNPROBED)
+    claim: np.ndarray = field(default_factory=lambda: _UNPROBED)
+    value: np.ndarray = field(default_factory=lambda: _UNPROBED)
 
 
 class ParallelKVStore:
@@ -78,6 +125,7 @@ class ParallelKVStore:
         self.var_base = int(var_base)
         self.store = scheme.make_store()
         self._time = 0
+        self._emitted = -1
         self.size = 0
         self.mpc_iterations = 0
         self.protocol_rounds = 0
@@ -98,15 +146,14 @@ class ParallelKVStore:
     def _fingerprint(self, keys) -> np.ndarray:
         """Stable 31-bit nonzero fingerprints of int/str keys."""
         out = np.empty(len(keys), dtype=np.int64)
+        salt = self.seed.to_bytes(8, "little")
         for i, key in enumerate(keys):
             data = (
                 int(key).to_bytes(16, "little", signed=True)
                 if isinstance(key, (int, np.integer))
                 else str(key).encode()
             )
-            h = hashlib.blake2b(
-                data, digest_size=8, key=self.seed.to_bytes(8, "little")
-            ).digest()
+            h = hashlib.blake2b(data, digest_size=8, key=salt).digest()
             fp = int.from_bytes(h, "little") % ((1 << 31) - 2) + 1
             out[i] = fp  # in [1, 2^31 - 2]: never EMPTY, never TOMBSTONE
         return out
@@ -132,11 +179,21 @@ class ParallelKVStore:
         holds the fingerprint in variable ``2s`` and the value in
         ``2s + 1``).
         """
-        fps = self._fingerprint(keys)
-        if np.unique(fps).size != fps.size:
-            raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps)
+        found, slot, _, _ = self._probe(self._distinct_fps(keys))
         return found, slot
+
+    def plan(
+        self,
+        gets: Sequence[int | str] = (),
+        puts: Sequence[int | str] = (),
+        deletes: Sequence[int | str] = (),
+    ) -> RoundPlan:
+        """A :class:`RoundPlan` for one round's keys (each list distinct)."""
+        keys = (gets, puts, deletes)
+        fps = [self._distinct_fps(ks) for ks in keys]
+        uniq, inverse = np.unique(np.concatenate(fps), return_inverse=True)
+        pos = tuple(np.split(inverse, np.cumsum([len(gets), len(puts)])))
+        return RoundPlan(self, keys, uniq, pos)
 
     # -- protocol plumbing ------------------------------------------------------
 
@@ -171,32 +228,46 @@ class ParallelKVStore:
         batch lost its quorum -- a partial probe answer would be
         indistinguishable from an empty cell."""
         if res.unsatisfiable is not None and res.unsatisfiable.size:
-            lost_vars = np.asarray(var_ids)[res.unsatisfiable]
-            modules = (
+            raise self._quorum_lost(
+                op, np.asarray(var_ids)[res.unsatisfiable],
                 res.fault_report.implicated_modules
-                if res.fault_report is not None
-                else self.failed_modules
-            )
-            raise QuorumLostError(
-                f"kvstore {op} lost the majority quorum for "
-                f"{lost_vars.size} table variable(s) under "
-                f"{0 if self.failed_modules is None else self.failed_modules.size} "
-                f"failed modules",
-                variables=lost_vars,
-                modules=modules,
+                if res.fault_report is not None else self.failed_modules,
             )
 
-    def _read_vars(self, var_ids: np.ndarray) -> np.ndarray:
-        """One batched majority read of (possibly duplicated) variables."""
+    def _quorum_lost(
+        self, op: str, lost_vars: np.ndarray, modules: np.ndarray | None
+    ) -> QuorumLostError:
+        return QuorumLostError(
+            f"kvstore {op} lost the majority quorum for "
+            f"{lost_vars.size} table variable(s) under "
+            f"{0 if self.failed_modules is None else self.failed_modules.size} "
+            f"failed modules",
+            variables=lost_vars,
+            modules=modules,
+        )
+
+    def _read_vars(
+        self, var_ids: np.ndarray, partial: bool = False
+    ) -> np.ndarray:
+        """One batched majority read of (possibly duplicated) variables.
+
+        A variable that lost its quorum raises :class:`QuorumLostError`,
+        or with ``partial`` reads as ``_LOST``, for a caller that raises
+        only for the cells its answer depends on."""
         uniq, inverse = np.unique(var_ids, return_inverse=True)
         res = self.scheme.read(
             uniq, store=self.store, time=self._tick(), var_base=self.var_base,
             **self._fault_kwargs(),
         )
-        self._check_quorum("read", uniq, res)
+        values = res.values
+        if partial and res.unsatisfiable is not None:
+            values = values.copy()
+            values[res.unsatisfiable] = _LOST
+        else:
+            self._check_quorum("read", uniq, res)
         self.mpc_iterations += res.total_iterations
         self.protocol_rounds += 1
-        return res.values[inverse]
+        return values[inverse]
 
     def _write_vars(self, var_ids: np.ndarray, values: np.ndarray) -> None:
         """One batched majority write (var_ids must be distinct)."""
@@ -210,64 +281,143 @@ class ParallelKVStore:
 
     # -- probing core ------------------------------------------------------------
 
-    def _probe(self, fps: np.ndarray):
-        """Find each key's slot: returns (found_mask, slot, claim_slot).
+    def _distinct_fps(self, keys: Sequence[int | str]) -> np.ndarray:
+        fps = self._fingerprint(keys)
+        if np.unique(fps).size != fps.size:
+            raise ValueError("batch contains duplicate keys")
+        return fps
 
-        ``slot`` is the key's slot when found; ``claim_slot`` is where an
+    def _probe(
+        self,
+        fps: np.ndarray,
+        with_value: np.ndarray | None = None,
+        first: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Find each distinct fingerprint's slot: returns
+        ``(found, slot, claim, value)``.
+
+        ``slot`` is the key's slot when found; ``claim`` is where an
         insert should go (first tombstone on the chain, else the empty
-        slot that terminated it).
+        slot that terminated it); ``value`` is the found slot's value
+        cell for the keys ``with_value`` marks, else -1.  Each step
+        reads a window of consecutive slots per pending key, twice as
+        wide as the last one, from its home slot or from ``first``.
+        Raises :class:`QuorumLostError` when a cell an answer depends
+        on lost its quorum; cells past a chain's end may.
         """
         B = fps.shape[0]
-        pending = np.ones(B, dtype=bool)
         found = np.zeros(B, dtype=bool)
         slot = np.full(B, -1, dtype=np.int64)
         claim = np.full(B, -1, dtype=np.int64)
-        offset = np.zeros(B, dtype=np.int64)
-        home = self._home(fps)
-        rounds = 0
+        value = np.full(B, -1, dtype=np.int64)
+        want = np.zeros(B, dtype=bool) if with_value is None else with_value
+        home = self._home(fps) if first is None else first
+        pending = np.arange(B)
+        offset = rounds = 0
         with _obs.span("kvstore.probe", batch=int(B)) as sp:
-            for _ in range(self.capacity + 1):
-                if not pending.any():
-                    break
-                idx = np.nonzero(pending)[0]
+            while pending.size:
+                if offset >= self.capacity:
+                    raise RuntimeError(
+                        "table full: probe chain exhausted capacity"
+                    )
+                w = min(1 << rounds, self.capacity - offset)
                 rounds += 1
-                cur = (home[idx] + offset[idx]) % self.capacity
-                got = self._read_vars(2 * cur)
-                is_empty = got == _EMPTY
-                is_tomb = got == TOMBSTONE
-                is_mine = got == fps[idx]
+                cur = home[pending, None] + np.arange(offset, offset + w)
+                cur %= self.capacity
+                offset += w
+                reads = want[pending]
+                got = self._read_vars(np.concatenate(
+                    [2 * cur.ravel(), 2 * cur[reads].ravel() + 1]
+                ), partial=True)
+                cells = got[: cur.size].reshape(cur.shape)
+                vals = np.full(cur.shape, _EMPTY, dtype=np.int64)
+                vals[reads] = got[cur.size:].reshape(-1, w)
+                mine = cells == fps[pending, None]
+                ends = mine | (cells == _EMPTY)
+                stop = ends.any(axis=1)
+                # chain end within the window (w when it lies beyond)
+                end = np.where(stop, ends.argmax(axis=1), w)
+                tomb = (cells == TOMBSTONE) & (np.arange(w) < end[:, None])
                 # record the first recyclable slot on the chain
-                rec = is_tomb & (claim[idx] < 0)
-                claim[idx[rec]] = cur[rec]
-                # chain ends: empty slot
-                done_empty = is_empty
-                claim_at_end = idx[done_empty & (claim[idx] < 0)]
-                claim[claim_at_end] = cur[done_empty & (claim[idx] < 0)]
-                found[idx[is_mine]] = True
-                slot[idx[is_mine]] = cur[is_mine]
-                pending[idx[is_mine | done_empty]] = False
-                offset[idx] += 1
-            else:
-                raise RuntimeError("table full: probe chain exhausted capacity")
+                rec = np.nonzero(tomb.any(axis=1) & (claim[pending] < 0))[0]
+                claim[pending[rec]] = cur[rec, tomb[rec].argmax(axis=1)]
+                rows = np.nonzero(stop)[0]
+                at, hit = cur[rows, end[rows]], mine[rows, end[rows]]
+                hr = rows[hit]
+                value_at = vals[hr, end[hr]]
+                # the answer depends on the chain up to its end and on a
+                # found get key's value, not on the cells past the end
+                lost = (cells == _LOST) & (np.arange(w) <= end[:, None])
+                lost_value = value_at == _LOST
+                if lost.any() or lost_value.any():
+                    raise self._quorum_lost("read", np.concatenate(
+                        [2 * cur[lost], 2 * at[hit][lost_value] + 1]
+                    ), self.failed_modules)
+                keys = pending[rows]
+                found[keys[hit]] = True
+                slot[keys[hit]] = at[hit]
+                value[keys[hit]] = value_at
+                # a chain that ends empty claims that slot unless a
+                # tombstone came first
+                free = ~hit & (claim[keys] < 0)
+                claim[keys[free]] = at[free]
+                pending = pending[~stop]
             sp.add(rounds=rounds)
-        return found, slot, claim
+        return found, slot, claim, value
+
+    def _begin(
+        self, plan: RoundPlan | None, op: int, keys: Sequence[int | str]
+    ) -> RoundPlan:
+        """The plan a ``batch_*`` call runs on, probed: ``plan``, or a
+        one-op plan of ``keys``.  The plan stays spent until
+        :meth:`_emit` completes the call."""
+        if plan is None:
+            plan = self.plan(**{f"{_OPS[op]}s": keys})
+        elif plan.store is not self:
+            raise ValueError("plan belongs to another store")
+        elif op < plan.stage:
+            raise ValueError(
+                "a plan runs get, put, delete in that order, each once, "
+                "and none after a batch raised"
+            )
+        elif len(keys) != len(plan.keys[op]):
+            raise ValueError(f"{_OPS[op]} keys differ from the plan's")
+        plan.stage = _SPENT
+        if not plan.probed:
+            with_value = np.zeros(plan.fps.size, dtype=bool)
+            with_value[plan.pos[_GET]] = True
+            plan.found, plan.slot, plan.claim, plan.value = self._probe(
+                plan.fps, with_value
+            )
+            plan.probed = True
+        return plan
 
     def _emit(
-        self, op: str, keys: Sequence[int | str], values: np.ndarray
+        self, plan: RoundPlan, op: int, keys: Sequence[int | str],
+        values: np.ndarray,
     ) -> None:
-        """Hand the completed batch to :func:`repro.obs.emit` as one
+        """Complete a ``batch_*`` call: open the plan's next op and hand
+        the batch to :func:`repro.obs.emit` as one
         :class:`~repro.obs.record.KvRecord`, stamped with the store's
-        clock after the batch (successive batches are totally ordered)."""
+        clock after the batch.  The clock ticks when the call issued no
+        protocol batch, so successive records are strictly ordered."""
+        plan.stage = op + 1
+        if self._time <= self._emitted:
+            self._tick()
+        self._emitted = self._time
         if _obs.enabled():
             _obs.emit(_obs.KvRecord(
-                op=op, keys=tuple(keys), values=np.array(values).ravel(),
-                time=self._time,
+                op=_OPS[op], keys=tuple(keys),
+                values=np.array(values).ravel(), time=self._time,
             ))
 
     # -- public API ------------------------------------------------------------------
 
     def batch_put(
-        self, keys: Sequence[int | str], values: np.ndarray
+        self,
+        keys: Sequence[int | str],
+        values: np.ndarray | Sequence[int],
+        plan: RoundPlan | None = None,
     ) -> dict[str, int]:
         """Insert/update a batch of distinct keys in parallel.
 
@@ -278,78 +428,75 @@ class ParallelKVStore:
             raise ValueError("keys and values must have equal length")
         if ((values < 0) | (values >= 1 << 32)).any():
             raise ValueError("values must be in [0, 2^32)")
-        fps = self._fingerprint(keys)
-        if np.unique(fps).size != fps.size:
-            raise ValueError("batch contains duplicate keys")
-        found, slot, claim = self._probe(fps)
-
-        # resolve claim collisions: several new keys may want one slot --
-        # lowest batch index wins, the rest re-probe next round
-        to_insert = ~found
-        while to_insert.any():
-            idx = np.nonzero(to_insert)[0]
-            order = np.argsort(claim[idx], kind="stable")
-            sorted_claims = claim[idx][order]
-            first = np.empty(sorted_claims.shape, dtype=bool)
-            first[:1] = True
-            np.not_equal(sorted_claims[1:], sorted_claims[:-1], out=first[1:])
-            winners = idx[order[first]]
-            slot[winners] = claim[winners]
-            losers = np.setdiff1d(idx, winners)
-            # winners write the value, then claim the slot with the
-            # fingerprint: a recycled slot still holds its deleted
-            # tenant's value, so a claim that committed before a lost
-            # value write would serve that value as the new key's.
-            # Losers re-probe against the updated table.
-            self._write_vars(2 * slot[winners] + 1, values[winners])
-            self._write_vars(2 * slot[winners], fps[winners])
-            self.size += winners.size
-            to_insert[winners] = False
-            if losers.size:
-                f2, s2, c2 = self._probe(fps[losers])
-                # a loser may now find its... it cannot exist; re-claim
-                claim[losers] = c2
-                slot[losers] = np.where(f2, s2, slot[losers])
-                newly_found = losers[f2]
-                if newly_found.size:  # pragma: no cover -- distinct keys
-                    to_insert[newly_found] = False
-        updates = found
-        if updates.any():
-            self._write_vars(2 * slot[updates] + 1, values[updates])
-        self._emit("put", keys, values)
+        plan = self._begin(plan, _PUT, keys)
+        at = plan.pos[_PUT]
+        found, slot, fps = plan.found[at], plan.slot[at], plan.fps[at]
+        new = np.nonzero(~found)[0]
+        claim = plan.claim[at[new]]
+        # updates ride in the first wave's value write
+        cells, vals = 2 * slot[found] + 1, values[found]
+        while True:
+            # several new keys may want one slot: the lowest batch index
+            # wins, the rest re-probe against the updated table
+            order = np.argsort(claim, kind="stable")
+            lead = np.ones(new.size, dtype=bool)
+            np.not_equal(claim[order][1:], claim[order][:-1], out=lead[1:])
+            win = np.zeros(new.size, dtype=bool)
+            win[order[lead]] = True
+            w = new[win]
+            slot[w] = claim[win]
+            # value first, then the fingerprint claim: a recycled slot
+            # still holds its deleted tenant's value, so a claim that
+            # committed before a lost value write would serve that
+            # value as the new key's.
+            cells = np.concatenate([cells, 2 * slot[w] + 1])
+            if cells.size:
+                self._write_vars(cells, np.concatenate([vals, values[w]]))
+            if w.size:
+                self._write_vars(2 * slot[w], fps[w])
+            self.size += w.size
+            if win.all():
+                break
+            # a loser's chain up to its lost claim is occupied now, so
+            # its re-probe starts just past that slot
+            new, claim = new[~win], claim[~win]
+            claim = self._probe(fps[new], first=claim + 1)[2]
+            cells = vals = np.empty(0, dtype=np.int64)
+        plan.found[at] = True
+        plan.slot[at] = slot
+        self._emit(plan, _PUT, keys, values)
         return {
             "inserted": int((~found).sum()),
             "updated": int(found.sum()),
             "protocol_rounds": self.protocol_rounds,
         }
 
-    def batch_get(self, keys: Sequence[int | str]) -> np.ndarray:
+    def batch_get(
+        self, keys: Sequence[int | str], plan: RoundPlan | None = None
+    ) -> np.ndarray:
         """Parallel lookup; returns values, -1 for missing keys."""
-        fps = self._fingerprint(keys)
-        if np.unique(fps).size != fps.size:
-            raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps)
-        out = np.full(len(keys), -1, dtype=np.int64)
-        if found.any():
-            vals = self._read_vars(2 * slot[found] + 1)
-            out[found] = vals
-        self._emit("get", keys, out)
+        plan = self._begin(plan, _GET, keys)
+        out = plan.value[plan.pos[_GET]]
+        self._emit(plan, _GET, keys, out)
         return out
 
-    def batch_delete(self, keys: Sequence[int | str]) -> int:
+    def batch_delete(
+        self, keys: Sequence[int | str], plan: RoundPlan | None = None
+    ) -> int:
         """Parallel delete; returns the number of keys removed."""
-        fps = self._fingerprint(keys)
-        if np.unique(fps).size != fps.size:
-            raise ValueError("batch contains duplicate keys")
-        found, slot, _ = self._probe(fps)
-        if found.any():
+        plan = self._begin(plan, _DELETE, keys)
+        at = plan.pos[_DELETE]
+        found = plan.found[at]
+        removed = int(found.sum())
+        if removed:
             self._write_vars(
-                2 * slot[found],
-                np.full(int(found.sum()), TOMBSTONE, dtype=np.int64),
+                2 * plan.slot[at[found]],
+                np.full(removed, TOMBSTONE, dtype=np.int64),
             )
-            self.size -= int(found.sum())
-        self._emit("delete", keys, found.astype(np.int64))
-        return int(found.sum())
+            self.size -= removed
+            plan.found[at] = False
+        self._emit(plan, _DELETE, keys, found.astype(np.int64))
+        return removed
 
     def scan(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-table scan: returns (fingerprints, values) of every

@@ -32,10 +32,13 @@ applies to concurrent same-cell writes; losing puts still ack OK (their
 write happened and was superseded within the round).  Same-key deletes
 combine trivially.
 
-A shard batch that raises
-:class:`~repro.faults.report.QuorumLostError` fails *every* request of
-that batch with ``STATUS_LOST`` (retriable): degraded answers are
-declared, never served from partial state.
+Each shard runs its part of a round as one shard round
+(:meth:`~repro.service.shards.ShardedKV.shard_round`): gets, then puts,
+then deletes, on one shared probe.  Once one of them raises
+:class:`~repro.faults.report.QuorumLostError`, that op and every later
+op of the shard round fail with ``STATUS_LOST`` (retriable) and do not
+run; ops that completed before it keep their answers.  Degraded
+answers are declared, never served from partial state.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import numpy as np
 
 import repro.obs as _obs
 from repro.conformance.streaming import Watchdog
-from repro.faults.report import QuorumLostError
 from repro.obs.stream import EventBus
 from repro.service.errors import STATUS_LOST, STATUS_OK
 from repro.service.shards import ShardedKV
@@ -413,41 +415,36 @@ class ServiceCore:
             in_s = shard == s
             if not in_s.any():
                 continue
-            # gets observe the pre-round state of this shard
             g = in_s & (a_op == OP_GET)
-            if g.any():
-                uk, inv = np.unique(a_key[g], return_inverse=True)
-                try:
-                    result[g] = self.store.shard_get(s, uk)[inv]
-                except QuorumLostError:
-                    status[g] = STATUS_LOST
+            p = in_s & (a_op == OP_PUT)
+            d = in_s & (a_op == OP_DELETE)
+            gk, g_inv = np.unique(a_key[g], return_inverse=True)
             # puts: combine same-key writes to one winner (largest
             # value, then lowest session id -- the arbitration rule)
-            p = in_s & (a_op == OP_PUT)
-            if p.any():
-                idx = np.nonzero(p)[0]
-                order = np.lexsort((a_sess[idx], -a_val[idx], a_key[idx]))
-                k_sorted = a_key[idx][order]
-                lead = np.r_[True, k_sorted[1:] != k_sorted[:-1]]
-                win = idx[order[lead]]
-                # echo the request's own value even when the batch is
-                # declared lost: a lost write may still have partially
-                # reached the store, and degraded-mode oracles need the
-                # attempted value to track what could resurface
-                result[p] = a_val[p]
-                try:
-                    self.store.shard_put(s, a_key[win], a_val[win])
-                except QuorumLostError:
-                    status[p] = STATUS_LOST
-            # deletes come last (a put+delete round ends deleted)
-            d = in_s & (a_op == OP_DELETE)
-            if d.any():
-                uk = np.unique(a_key[d])
-                try:
-                    self.store.shard_delete(s, uk)
-                    result[d] = 1
-                except QuorumLostError:
-                    status[d] = STATUS_LOST
+            idx = np.nonzero(p)[0]
+            order = idx[np.lexsort((a_sess[idx], -a_val[idx], a_key[idx]))]
+            lead = np.ones(order.size, dtype=bool)
+            np.not_equal(a_key[order][1:], a_key[order][:-1], out=lead[1:])
+            win = order[lead]
+            # echo the request's own value even when the put is
+            # declared lost: a lost write may still have partially
+            # reached the store, and degraded-mode oracles need the
+            # attempted value to track what could resurface
+            result[p] = a_val[p]
+            r = self.store.shard_round(
+                s, gets=gk, puts=a_key[win], values=a_val[win],
+                deletes=np.unique(a_key[d]),
+            )
+            if r.got is not None:
+                result[g] = r.got[g_inv]
+            if r.removed is not None:
+                result[d] = 1
+            if r.lost is not None:
+                # the op that raised and every later op of the shard
+                # round did not complete
+                for mask, done in ((g, r.got), (p, r.put), (d, r.removed)):
+                    if done is None:
+                        status[mask] = STATUS_LOST
         lat = np.maximum(self.clock() - a_stamp, 0.0)
         np.add.at(self._outstanding, a_sess, -1)
         self._lat_chunks.append(lat.astype(np.float64))

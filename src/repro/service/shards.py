@@ -19,17 +19,34 @@ streaming conformance checker.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.faults.report import QuorumLostError
 from repro.kvstore.store import ParallelKVStore
 from repro.schemes.pp_adapter import PPAdapter
 
-__all__ = ["ShardedKV"]
+__all__ = ["ShardRound", "ShardedKV"]
 
 #: splitmix64-style odd multiplier for the int-key routing hash
 _ROUTE_MULT = np.uint64(0x9E3779B97F4A7C15)
+
+
+@dataclass
+class ShardRound:
+    """What one shard round completed: each op's result, or None when
+    the op did not complete (or had no keys)."""
+
+    #: ``batch_get`` values
+    got: np.ndarray | None = None
+    #: ``batch_put`` stats
+    put: dict[str, int] | None = None
+    #: ``batch_delete`` count of removed keys
+    removed: int | None = None
+    #: the quorum loss that stopped the round, if any
+    lost: QuorumLostError | None = None
 
 
 class ShardedKV:
@@ -107,17 +124,39 @@ class ShardedKV:
         """Fold a directly-driven shard's clock back into the order."""
         self._clock = max(self._clock, s.clock)
 
-    def shard_get(self, shard: int, keys: Sequence[int | str]) -> np.ndarray:
-        """Batched get on one shard under the shared round clock.
+    def shard_round(
+        self,
+        shard: int,
+        gets: Sequence[int | str] = (),
+        puts: Sequence[int | str] = (),
+        values: np.ndarray | Sequence[int] = (),
+        deletes: Sequence[int | str] = (),
+    ) -> ShardRound:
+        """One service round on one shard under the shared round clock:
+        ``batch_get``, then ``batch_put``, then ``batch_delete`` (each
+        only when it has keys) on one
+        :class:`~repro.kvstore.store.RoundPlan`, so the three share one
+        probe.
 
-        Raises :class:`~repro.faults.report.QuorumLostError` if the
-        shard's failed-module set leaves any touched variable without a
-        read quorum -- callers own the retry/abort policy."""
+        A :class:`~repro.faults.report.QuorumLostError` stops the round:
+        it lands in :attr:`ShardRound.lost`, the op that raised and
+        every later one stay None, and the ops before it keep their
+        results."""
         s = self.enter_shard(shard)
+        out = ShardRound()
         try:
-            return s.batch_get(keys)
+            plan = s.plan(gets, puts, deletes)
+            if len(gets):
+                out.got = s.batch_get(gets, plan=plan)
+            if len(puts):
+                out.put = s.batch_put(puts, values, plan=plan)
+            if len(deletes):
+                out.removed = s.batch_delete(deletes, plan=plan)
+        except QuorumLostError as exc:
+            out.lost = exc
         finally:
             self.leave_shard(s)
+        return out
 
     def shard_put(
         self,
@@ -125,26 +164,14 @@ class ShardedKV:
         keys: Sequence[int | str],
         values: np.ndarray,
     ) -> dict[str, int]:
-        """Batched put on one shard under the shared round clock.
-
-        Raises :class:`~repro.faults.report.QuorumLostError` if the
-        shard cannot assemble a write quorum for a touched variable."""
-        s = self.enter_shard(shard)
-        try:
-            return s.batch_put(keys, values)
-        finally:
-            self.leave_shard(s)
-
-    def shard_delete(self, shard: int, keys: Sequence[int | str]) -> int:
-        """Batched delete on one shard under the shared round clock.
+        """Batched put on one shard: a puts-only :meth:`shard_round`.
 
         Raises :class:`~repro.faults.report.QuorumLostError` if the
         shard cannot assemble a quorum for a touched variable."""
-        s = self.enter_shard(shard)
-        try:
-            return s.batch_delete(keys)
-        finally:
-            self.leave_shard(s)
+        r = self.shard_round(shard, puts=keys, values=values)
+        if r.lost is not None:
+            raise r.lost
+        return r.put or {}
 
     # -- fault surface ------------------------------------------------------
 

@@ -61,6 +61,48 @@ class TestQuorumLoss:
         with pytest.raises(QuorumLostError):
             kv.batch_put(["k"], [1])
 
+    def test_lost_cells_past_the_chain_end_do_not_fail_the_probe(self):
+        # B shares A's home h: its probe reads h, then the window
+        # h+1 (empty, the chain's end) and h+2.  Cells past the end,
+        # and the value cells of slots that do not hold B, may lose
+        # their quorum without failing B's get.
+        sch = PPAdapter(2, 5)
+        kv = ParallelKVStore(sch, seed=0)
+        cap = kv.capacity
+        cands = list(range(20_000))
+        homes = kv._home(kv.fingerprints(cands))
+
+        def modules(var):
+            return set(sch.placement(np.array([var])).ravel().tolist())
+
+        for a in cands:
+            h = int(homes[a])
+            keep = modules(2 * h) | modules(2 * ((h + 1) % cap))
+            past = [2 * ((h + 2) % cap)] + [
+                2 * ((h + i) % cap) + 1 for i in (1, 2)
+            ]
+            down = set().union(*(modules(v) for v in past)) - keep
+            bs = [b for b in cands if b != a and homes[b] == h]
+            if bs and all(len(modules(v) & down) >= 2 for v in past):
+                b = bs[0]
+                break
+        else:  # pragma: no cover - the search space is ample
+            pytest.skip("no suitable key pair")
+        kv.batch_put([a], [5])
+        kv.set_failed_modules(sorted(down))
+        assert kv.batch_get([b, a]).tolist() == [-1, 5]
+
+    def test_a_failed_batch_spends_the_plan(self, kv):
+        kv.batch_put(["a"], [1])
+        plan = kv.plan(gets=["a"], puts=["b"])
+        kv.set_failed_modules(np.arange(kv.scheme.N - 1))
+        with pytest.raises(QuorumLostError):
+            kv.batch_get(["a"], plan=plan)
+        kv.set_failed_modules(None)
+        with pytest.raises(ValueError, match="raised"):
+            kv.batch_put(["b"], [2], plan=plan)
+        assert kv.batch_get(["a", "b"]).tolist() == [1, -1]
+
 
 class TestRecycledSlot:
     def test_lost_value_write_never_serves_the_deleted_tenants_value(self):
@@ -80,7 +122,10 @@ class TestRecycledSlot:
         for x in cands:
             h = int(homes[x])
             value_mods = modules(2 * h + 1)
-            probed = modules(2 * h) | modules(2 * ((h + 1) % cap))
+            # Y's probe reads slot h, then the window h+1, h+2
+            probed = set().union(
+                *(modules(2 * ((h + i) % cap)) for i in range(3))
+            )
             ys = [y for y in cands if y != x and homes[y] == h]
             if ys and not value_mods & probed:
                 y = ys[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kvstore import ParallelKVStore
+from repro.kvstore.store import TOMBSTONE
 from repro.schemes.pp_adapter import PPAdapter
 from repro.schemes.upfal_wigderson import UpfalWigdersonScheme
 
@@ -140,11 +141,136 @@ class TestFaultToleranceComposition:
         keys = [f"k{i}" for i in range(100)]
         kv.batch_put(keys, np.arange(100))
         # simulate failure by reading through the scheme with failures
-        fps = kv._fingerprint(keys)
-        found, slot, _ = kv._probe(fps)
+        found, slot = kv.locate(keys)
         assert found.all()
         res = kv.scheme.scheme.read(
             np.unique(2 * slot + 1), store=kv.store, time=10_000,
             failed_modules=np.array([3]),
         )
         assert res.unsatisfiable is None
+
+
+def _spread_keys(kv, count, gap=4):
+    """Int keys whose home slots lie at least ``gap`` slots apart, so
+    every probe chain of a table holding only them has length 1."""
+    homes = kv._home(kv.fingerprints(list(range(10_000))))
+    keys, taken = [], []
+    for key, h in enumerate(homes.tolist()):
+        if all(min((h - t) % kv.capacity, (t - h) % kv.capacity) >= gap
+               for t in taken):
+            keys.append(key)
+            taken.append(h)
+            if len(keys) == count:
+                return keys
+    raise AssertionError("not enough spread keys")  # pragma: no cover
+
+
+def _batches(kv):
+    return kv.cost_summary()["protocol_rounds"]
+
+
+class TestRoundPlan:
+    def test_conflict_free_round_costs_four_batches(self, kv):
+        keys = _spread_keys(kv, 12)
+        old, new = keys[:8], keys[8:]
+        kv.batch_put(old, np.arange(8))
+        before = _batches(kv)
+        puts = old[4:6] + new
+        plan = kv.plan(gets=old[:4], puts=puts, deletes=old[6:])
+        assert kv.batch_get(old[:4], plan=plan).tolist() == [0, 1, 2, 3]
+        st = kv.batch_put(puts, np.arange(6) + 50, plan=plan)
+        assert (st["inserted"], st["updated"]) == (4, 2)
+        assert kv.batch_delete(old[6:], plan=plan) == 2
+        # probe, value write, fingerprint claim, tombstone
+        assert _batches(kv) - before == 4
+        assert kv.batch_get(keys).tolist() == (
+            [0, 1, 2, 3, 50, 51, -1, -1, 52, 53, 54, 55]
+        )
+        assert len(kv) == 10
+
+    def test_get_reads_values_with_the_probe(self, kv):
+        keys = _spread_keys(kv, 6)
+        kv.batch_put(keys, np.arange(6) + 1)
+        before = _batches(kv)
+        got = kv.batch_get(keys + ["missing"])
+        assert got.tolist() == [1, 2, 3, 4, 5, 6, -1]
+        # one batch: no value read after the probe
+        assert _batches(kv) - before == 1
+
+    def test_put_then_delete_of_a_new_key_ends_deleted(self, kv):
+        plan = kv.plan(puts=["n", "m"], deletes=["n"])
+        assert kv.batch_put(["n", "m"], [5, 6], plan=plan)["inserted"] == 2
+        assert kv.batch_delete(["n"], plan=plan) == 1
+        assert len(kv) == 1
+        assert kv.batch_get(["n", "m"]).tolist() == [-1, 6]
+
+    def test_claim_collision_losers_land_past_the_lost_claim(self, kv):
+        homes = kv._home(kv.fingerprints(list(range(20_000)))).tolist()
+        h = homes[0]
+        same = [k for k, hk in enumerate(homes) if hk == h][:3]
+        assert len(same) == 3
+        kv.batch_put(same, [7, 8, 9])
+        found, slot = kv.locate(same)
+        assert found.all()
+        assert slot.tolist() == [(h + i) % kv.capacity for i in range(3)]
+        assert kv.batch_get(same).tolist() == [7, 8, 9]
+
+    def test_record_times_strictly_increase(self, kv):
+        kv.batch_put(["a"], [1])
+        plan = kv.plan(gets=["a"], puts=["b"], deletes=["missing"])
+        times = [kv.clock]
+        kv.batch_get(["a"], plan=plan)
+        times.append(kv.clock)
+        kv.batch_put(["b"], [2], plan=plan)
+        times.append(kv.clock)
+        # a delete that writes nothing still ticks the clock
+        assert kv.batch_delete(["missing"], plan=plan) == 0
+        times.append(kv.clock)
+        assert times == sorted(set(times))
+
+    def test_plan_runs_get_put_delete_in_order_once(self, kv):
+        plan = kv.plan(gets=["a"], puts=["a"], deletes=["a"])
+        kv.batch_put(["a"], [1], plan=plan)
+        with pytest.raises(ValueError, match="order"):
+            kv.batch_get(["a"], plan=plan)
+        with pytest.raises(ValueError, match="order"):
+            kv.batch_put(["a"], [1], plan=plan)
+        assert kv.batch_delete(["a"], plan=plan) == 1
+
+    def test_plan_is_checked_against_the_call(self, kv):
+        other = ParallelKVStore(PPAdapter(2, 5), seed=1)
+        with pytest.raises(ValueError, match="another store"):
+            kv.batch_get(["a"], plan=other.plan(gets=["a"]))
+        with pytest.raises(ValueError, match="differ"):
+            kv.batch_get(["a", "b"], plan=kv.plan(gets=["a"]))
+        with pytest.raises(ValueError, match="duplicate"):
+            kv.plan(deletes=["a", "a"])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_windowed_probe_matches_a_slot_by_slot_walk(self, seed):
+        # a small, busy table: long chains, tombstones and wrap-around
+        kv = ParallelKVStore(PPAdapter(2, 3), seed=seed)
+        rng = np.random.default_rng(seed)
+        live = rng.choice(500, size=36, replace=False).tolist()
+        kv.batch_put(live, rng.integers(0, 1 << 20, size=36))
+        kv.batch_delete(live[::3])
+        cells = kv._read_vars(2 * np.arange(kv.capacity))
+        vals = kv._read_vars(2 * np.arange(kv.capacity) + 1)
+        absent = rng.choice(np.arange(500, 900), 8, replace=False)
+        keys = live + absent.tolist()
+        fps = kv.fingerprints(keys)
+        found, slot, claim, value = kv._probe(fps, np.ones(fps.size, bool))
+        for i, (fp, h) in enumerate(zip(fps, kv._home(fps))):
+            want = (False, -1, -1, -1)
+            for j in range(kv.capacity):
+                s = (int(h) + j) % kv.capacity
+                if cells[s] == fp:
+                    want = (True, s, want[2], int(vals[s]))
+                    break
+                if cells[s] == -1:
+                    want = (False, -1, s if want[2] < 0 else want[2], -1)
+                    break
+                if cells[s] == TOMBSTONE and want[2] < 0:
+                    want = (False, -1, s, -1)
+            got = (bool(found[i]), int(slot[i]), int(claim[i]), int(value[i]))
+            assert got == want, keys[i]

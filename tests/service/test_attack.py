@@ -16,6 +16,12 @@ from repro.service.loadgen import LoadConfig, run_load
 from repro.service.shards import ShardedKV
 
 
+def _get(store, k):
+    """One key's value through a gets-only shard round."""
+    r = store.shard_round(store.route_one(int(k)), gets=[int(k)])
+    return int(r.got[0])
+
+
 def _seeded_store(n_keys=12):
     store = ShardedKV(n_shards=2, q=2, n=3, seed=0)
     keys = np.arange(100, 100 + n_keys, dtype=np.int64)
@@ -34,8 +40,7 @@ class TestMount:
         for k, stale, fresh in zip(
             atk.victims, atk.stale_values, atk.fresh_values
         ):
-            s = store.route_one(int(k))
-            got = int(store.shard_get(s, [int(k)])[0])
+            got = _get(store, k)
             # healthy read, wrong answer -- the protocol cannot tell
             assert got == stale != fresh
 
@@ -44,8 +49,7 @@ class TestMount:
         atk = poison_stale_majority(store, keys[:4], seed=0)
         assert atk.victims.size
         for k in keys[4:]:
-            s = store.route_one(int(k))
-            assert int(store.shard_get(s, [int(k)])[0]) == int(k) * 7
+            assert _get(store, k) == int(k) * 7
 
     def test_absent_keys_are_skipped(self):
         store, _ = _seeded_store()
@@ -62,8 +66,7 @@ class TestMount:
         atk.heal(store)  # no-op second time
         assert atk.healed
         for k in atk.victims:
-            s = store.route_one(int(k))
-            assert int(store.shard_get(s, [int(k)])[0]) == int(k) * 7
+            assert _get(store, k) == int(k) * 7
 
     def test_expected_victims_are_checker_coordinates(self):
         store, keys = _seeded_store()

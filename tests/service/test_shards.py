@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults.report import QuorumLostError
 from repro.service.shards import ShardedKV
 
 
@@ -70,10 +71,39 @@ class TestClockedOps:
         shard = int(s.route_ints(np.asarray([3]))[0])
         same = [k for k in keys if s.route_one(k) == shard]
         s.shard_put(shard, same, np.arange(1, len(same) + 1))
-        got = s.shard_get(shard, same)
+        got = s.shard_round(shard, gets=same).got
         assert got.tolist() == list(range(1, len(same) + 1))
-        assert s.shard_delete(shard, same) == len(same)
-        assert s.shard_get(shard, same).tolist() == [-1] * len(same)
+        assert s.shard_round(shard, deletes=same).removed == len(same)
+        assert s.shard_round(shard, gets=same).got.tolist() == [-1] * len(same)
+
+    def test_shard_round_runs_get_put_delete_on_one_probe(self):
+        s = ShardedKV(n_shards=1, q=2, n=3, seed=0)
+        s.shard_put(0, [1, 2], [10, 20])
+        r = s.shard_round(
+            0, gets=[1, 2, 3], puts=[2, 3, 4], values=[21, 30, 40],
+            deletes=[1, 4],
+        )
+        assert r.lost is None
+        # gets see the pre-round state
+        assert r.got.tolist() == [10, 20, -1]
+        assert r.put == {"inserted": 2, "updated": 1,
+                         "protocol_rounds": r.put["protocol_rounds"]}
+        # the delete finds the key put in the same round
+        assert r.removed == 2
+        after = s.shard_round(0, gets=[1, 2, 3, 4]).got
+        assert after.tolist() == [-1, 21, 30, -1]
+
+    def test_quorum_loss_stops_the_shard_round(self):
+        s = ShardedKV(n_shards=1, q=2, n=3, seed=0)
+        s.shard_put(0, [1], [10])
+        s.set_failed_modules(0, np.arange(s.shards[0].scheme.N))
+        r = s.shard_round(0, gets=[1], puts=[2], values=[5], deletes=[1])
+        assert isinstance(r.lost, QuorumLostError)
+        assert r.got is None and r.put is None and r.removed is None
+        with pytest.raises(QuorumLostError):
+            s.shard_put(0, [2], [5])
+        s.set_failed_modules(0, None)
+        assert s.shard_round(0, gets=[1, 2]).got.tolist() == [10, -1]
 
     def test_shared_clock_is_monotone_across_shards(self):
         s = ShardedKV(n_shards=2, q=2, n=3, seed=0)
